@@ -18,26 +18,21 @@
  *
  * Usage: bench_net [--branch NAME] [--ops N] [--window N]
  *                  [--threads a,b,c] [--shards N] [--ascii]
- *                  [--backend epoll|writev|io_uring]
+ *                  [--backend epoll|writev]
  *                  [--timeout-ms N] [--trials K] [--json OUT]
  *                  [--tail] [--tail-json OUT] [--connect PORT]
- *                  [--probe-io-uring]
  *
  * --json writes one tmemc-bench-v1 row per (topology, thread count):
  * bench "bench_net_inproc" for the in-process drive and
  * "bench_net_loopback" for the served one, so the perf gate can watch
  * the network stack's cost separately from the cache's.
  *
- * --backend selects the server's I/O backend (io_backend.h). With a
- * non-epoll backend the loopback row's branch is suffixed with the
- * *effective* backend ("IP-onCommit+writev") so the gate tracks each
- * write path as its own row, and the in-process row is not emitted
- * (it would duplicate the epoll run's). Pair with --ascii to exercise
- * the zero-copy pinned-GET path, which serves ASCII get/gets.
- *
- * --probe-io-uring reports whether the kernel lets this process
- * create an io_uring and exits 0 (available) / 3 (unavailable) — the
- * CI capability gate.
+ * --backend selects the server's I/O backend (net/server.h). With
+ * writev the loopback row's branch is suffixed "+writev"
+ * ("IP-onCommit+writev") so the gate tracks each write path as its
+ * own row, and the in-process row is not emitted (it would duplicate
+ * the epoll run's). Pair with --ascii to exercise the zero-copy
+ * pinned-GET path, which serves ASCII get/gets.
  *
  * --tail arms the per-request tail tracer (obs/tail.h) for every
  * loopback leg, suffixes the loopback row's branch with "+tail" (an
@@ -66,7 +61,6 @@
 
 #include "figure_harness.h"
 #include "mc/cache_iface.h"
-#include "net/io_backend.h"
 #include "net/server.h"
 #include "obs/hist.h"
 #include "obs/metrics.h"
@@ -116,19 +110,22 @@ main(int argc, char **argv)
     // minimum is the noise-robust estimate the perf gate wants.
     std::uint32_t trials = 1;
     net::IoBackend backend = net::IoBackend::Epoll;
+    auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [--branch NAME] [--ops N] "
+                     "[--window N] [--threads a,b,c] [--shards N] "
+                     "[--ascii] [--backend epoll|writev] "
+                     "[--timeout-ms N] [--trials K] "
+                     "[--json OUT] [--tail] [--tail-json OUT] "
+                     "[--connect PORT]\n",
+                     argv[0]);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : "";
         };
-        if (a == "--probe-io-uring") {
-            // CI capability gate: 0 = the kernel lets this process
-            // create a ring, 3 = it does not (ENOSYS/EPERM/seccomp).
-            const bool have = net::ioUringSupported();
-            std::printf("io_uring: %s\n",
-                        have ? "available" : "unavailable");
-            return have ? 0 : 3;
-        }
         if (a == "--branch")
             branch = next();
         else if (a == "--ops")
@@ -159,24 +156,12 @@ main(int argc, char **argv)
         else if (a == "--backend") {
             const std::string v = next();
             if (!net::parseIoBackend(v, backend)) {
-                std::fprintf(stderr,
-                             "unknown --backend '%s' (want epoll, "
-                             "writev, or io_uring)\n",
+                std::fprintf(stderr, "unknown --backend '%s'\n",
                              v.c_str());
-                return 2;
+                return usage();
             }
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--branch NAME] [--ops N] "
-                         "[--window N] [--threads a,b,c] [--shards N] "
-                         "[--ascii] "
-                         "[--backend epoll|writev|io_uring] "
-                         "[--timeout-ms N] [--trials K] "
-                         "[--json OUT] [--tail] [--tail-json OUT] "
-                         "[--connect PORT] [--probe-io-uring]\n",
-                         argv[0]);
-            return 2;
-        }
+        } else
+            return usage();
     }
     if (trials == 0)
         trials = 1;
@@ -311,16 +296,14 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "server start failed\n");
                 return 1;
             }
-            // Label the loopback row with what actually ran: a
-            // requested io_uring may have degraded to writev, and the
-            // gate must not compare rows across write paths. The
+            // Label the loopback row with its write path: the gate
+            // must not compare rows across write paths. The
             // armed-tracer row likewise gets its own name so the gate
             // never compares armed cost against the disarmed baseline.
             netRow.branch = branch;
-            if (server.ioBackend() != net::IoBackend::Epoll)
+            if (backend != net::IoBackend::Epoll)
                 netRow.branch +=
-                    std::string("+") +
-                    net::ioBackendName(server.ioBackend());
+                    std::string("+") + net::ioBackendName(backend);
             if (tail_mode)
                 netRow.branch += "+tail";
             if (tail_mode) {

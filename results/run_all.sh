@@ -26,9 +26,7 @@ if [[ ${1:-} == --rebaseline ]]; then
     "$BENCH_DIR/bench_net" --ops 3000 --trials 3 --threads 1,4 \
         --json results/gate_net.json
     # The I/O-backend comparison pair and the invisible-reader rows
-    # gate too. io_uring rows stay OUT of the baseline on purpose:
-    # not every runner kernel can produce them, and a baseline row
-    # the runner cannot reproduce fails the gate as missing.
+    # gate too.
     "$BENCH_DIR/bench_net" --branch IP-onCommit --ascii --ops 3000 \
         --trials 3 --threads 1,4 --backend epoll \
         --json results/gate_zc_epoll.json
@@ -95,19 +93,13 @@ run_bench bench_net_sharded 1200 \
 
 # The I/O-backend comparison (same branch and mix; only the serving
 # backend varies) and the invisible-reader read-only-transaction
-# ablation. The io_uring leg is probe-gated so the sweep still
-# completes on kernels without the ring.
+# ablation.
 run_bench bench_net_zc_epoll 1200 \
     "$BENCH_DIR/bench_net" --branch IP-onCommit --ascii --ops 5000 \
     --backend epoll --json results/bench_net_zc_epoll.json
 run_bench bench_net_zc_writev 1200 \
     "$BENCH_DIR/bench_net" --branch IP-onCommit --ascii --ops 5000 \
     --backend writev --json results/bench_net_zc_writev.json
-if "$BENCH_DIR/bench_net" --probe-io-uring; then
-    run_bench bench_net_zc_uring 1200 \
-        "$BENCH_DIR/bench_net" --branch IP-onCommit --ascii --ops 5000 \
-        --backend io_uring --json results/bench_net_zc_uring.json
-fi
 run_bench bench_ro_tx 1200 \
     "$BENCH_DIR/bench_ro_tx" --ops "$OPS" --trials "$TRIALS" \
     --threads 1,4,8 --json results/bench_ro_tx.json

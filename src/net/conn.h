@@ -13,7 +13,7 @@
  * Replies are mc::Reply segment lists. On the seed epoll backend the
  * executor only produces owned segments, consecutive owned segments
  * coalesce, and the flush is the classic copy-and-write(2) loop. On
- * the gather backends (writev / io_uring) a GET hit's value rides as
+ * the writev (gather) backend a GET hit's value rides as
  * a *pinned* segment — a pointer into the slab chunk held live by the
  * item refcount — and flush() hands header + value + CRLF to one
  * writev(2), so the value bytes are never copied into a reply buffer.

@@ -1,7 +1,6 @@
 /**
  * @file
- * Event-loop implementation over the pluggable readiness backends
- * (level-triggered contract; see io_backend.h).
+ * Event-loop implementation over level-triggered epoll.
  */
 
 #include "net/event_loop.h"
@@ -9,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
@@ -19,12 +19,27 @@
 namespace tmemc::net
 {
 
+namespace
+{
+
+/** Register @p fd for input. @return false on kernel refusal. */
+bool
+epollAdd(int epfd, int fd)
+{
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    return ::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+} // namespace
+
 EventLoop::EventLoop(std::uint32_t worker_id, ExecFn exec, ConnLimits limits,
                      std::uint32_t idle_timeout_ms, NetCounters &counters,
-                     IoBackend backend)
+                     bool gather_writes)
     : worker_(worker_id), exec_(std::move(exec)), limits_(limits),
       idleTimeoutMs_(idle_timeout_ms), counters_(counters),
-      requested_(backend)
+      gather_(gather_writes)
 {
 }
 
@@ -36,18 +51,10 @@ EventLoop::~EventLoop()
 bool
 EventLoop::start()
 {
-    poller_ = makePoller(requested_, effective_);
-    if (poller_ == nullptr)
-        return false;
+    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
     wakefd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (wakefd_ < 0) {
-        poller_.reset();
-        return false;
-    }
-    if (!poller_->add(wakefd_, true, false)) {
-        ::close(wakefd_);
-        wakefd_ = -1;
-        poller_.reset();
+    if (epfd_ < 0 || wakefd_ < 0 || !epollAdd(epfd_, wakefd_)) {
+        closeFds();
         return false;
     }
     thread_ = std::thread([this] { run(); });
@@ -71,10 +78,18 @@ EventLoop::stop()
             ::close(fd);
         pending_.clear();
     }
+    closeFds();
+}
+
+void
+EventLoop::closeFds()
+{
     if (wakefd_ >= 0)
         ::close(wakefd_);
+    if (epfd_ >= 0)
+        ::close(epfd_);
     wakefd_ = -1;
-    poller_.reset();
+    epfd_ = -1;
 }
 
 void
@@ -105,21 +120,18 @@ EventLoop::wakeup()
 void
 EventLoop::adoptPending()
 {
-    // Connections on the zero-copy backends (anything but the seed
-    // epoll) queue pinned reply segments and flush them with writev.
-    const bool gather = effective_ != IoBackend::Epoll;
     std::vector<int> batch;
     {
         std::lock_guard<std::mutex> guard(pendingMu_);
         batch.swap(pending_);
     }
     for (int fd : batch) {
-        if (!poller_->add(fd, true, false)) {
+        if (!epollAdd(epfd_, fd)) {
             ::close(fd);
             continue;
         }
         conns_.emplace(fd, std::make_unique<Conn>(fd, nextConnId_++,
-                                                  limits_, gather));
+                                                  limits_, gather_));
         open_.fetch_add(1, std::memory_order_relaxed);
         counters_.currConnections.fetch_add(1, std::memory_order_relaxed);
     }
@@ -136,7 +148,7 @@ EventLoop::closeConn(int fd)
     if (it->second->closeReason() == CloseReason::Backpressure)
         counters_.backpressureCloses.fetch_add(1,
                                                std::memory_order_relaxed);
-    poller_->remove(fd);
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
     conns_.erase(it);  // Conn destructor closes the fd.
     open_.fetch_sub(1, std::memory_order_relaxed);
     counters_.currConnections.fetch_sub(1, std::memory_order_relaxed);
@@ -173,13 +185,11 @@ EventLoop::retireDrained()
 void
 EventLoop::updateInterest(Conn &c)
 {
-    poller_->update(c.fd(), c.wantsRead(), c.wantsWrite());
-    // A flush that ran out of kernel buffer (or hit a transient
-    // EAGAIN) leaves queued bytes behind; make sure the next wait()
-    // reports the fd again even on pollers whose delivered events are
-    // consumed-on-report (io_uring multishot).
-    if (c.wantsWrite())
-        poller_->rearm(c.fd());
+    epoll_event ev{};
+    ev.events = (c.wantsRead() ? EPOLLIN : 0u) |
+                (c.wantsWrite() ? EPOLLOUT : 0u);
+    ev.data.fd = c.fd();
+    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, c.fd(), &ev);
 }
 
 void
@@ -197,16 +207,23 @@ EventLoop::run()
         timeout_ms = std::clamp(static_cast<int>(idleTimeoutMs_ / 4), 1,
                                 timeout_ms);
 
-    PollEvent events[64];
+    epoll_event events[64];
     while (!stopping_.load(std::memory_order_acquire)) {
-        const int n = poller_->wait(
-            events, static_cast<int>(std::size(events)), timeout_ms);
-        if (n < 0)
-            break;
+        int n = sys::epollWait(epfd_, events,
+                               static_cast<int>(std::size(events)),
+                               timeout_ms);
+        if (n < 0) {
+            if (errno != EINTR)
+                break;
+            n = 0;
+        }
         adoptPending();
         const bool draining = draining_.load(std::memory_order_acquire);
         for (int i = 0; i < n; ++i) {
-            const int fd = events[i].fd;
+            const int fd = events[i].data.fd;
+            const std::uint32_t ev = events[i].events;
+            const bool readable = (ev & EPOLLIN) != 0;
+            const bool writable = (ev & EPOLLOUT) != 0;
             if (fd == wakefd_) {
                 std::uint64_t drain;
                 [[maybe_unused]] ssize_t r =
@@ -219,19 +236,20 @@ EventLoop::run()
                 continue;
             Conn &c = *it->second;
             bool alive = true;
-            if (events[i].hangup || events[i].error) {
-                // Let a readable-but-hung-up socket drain its final
+            if ((ev & ~(EPOLLIN | EPOLLOUT)) != 0) {
+                // Hang-up or error (epoll reports both unasked). Let
+                // a readable-but-hung-up socket drain its final
                 // bytes; a pure error closes immediately.
-                alive = events[i].readable;
+                alive = readable;
             }
             if (draining) {
                 // No new requests; just push queued replies out.
-                if (alive && events[i].writable)
+                if (alive && writable)
                     alive = c.flushOnly();
             } else {
-                if (alive && events[i].readable)
+                if (alive && readable)
                     alive = c.onReadable(worker_, exec_);
-                if (alive && events[i].writable)
+                if (alive && writable)
                     alive = c.onWritable(worker_, exec_);
             }
             if (!alive) {

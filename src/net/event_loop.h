@@ -1,8 +1,7 @@
 /**
  * @file
- * One worker event loop: a readiness backend (epoll or io_uring, see
- * io_backend.h), an eventfd wakeup, and the set of connections
- * assigned to this worker.
+ * One worker event loop: a level-triggered epoll set, an eventfd
+ * wakeup, and the set of connections assigned to this worker.
  *
  * This is the libevent worker thread of memcached's threads.c. The
  * listener hands accepted sockets over through adopt() (the analogue
@@ -10,6 +9,10 @@
  * with its epoll set and from then on owns them exclusively — no
  * other thread ever touches a Conn, so connection state needs no
  * locking.
+ *
+ * Readiness is level-triggered: a connection whose flush left bytes
+ * queued keeps EPOLLOUT interest, and the next epoll_wait reports it
+ * again while the socket is writable, with no re-arm step.
  *
  * Overload duties (all enforced here, where the connections live):
  *  - idle reaping: the epoll_wait timeout doubles as the idle clock —
@@ -41,7 +44,6 @@
 #include <vector>
 
 #include "net/conn.h"
-#include "net/io_backend.h"
 
 namespace tmemc::net
 {
@@ -80,13 +82,13 @@ class EventLoop
      * @param idle_timeout_ms  Reap connections idle this long
      *                         (0: never).
      * @param counters   Server-wide resilience counters.
-     * @param backend    Requested I/O backend; IoUring falls back to
-     *                   Writev when the kernel refuses (backend()
-     *                   reports what actually runs, after start()).
+     * @param gather_writes  Connections flush with one writev over
+     *                       their segment list (the zero-copy path)
+     *                       instead of copy-and-write.
      */
     EventLoop(std::uint32_t worker_id, ExecFn exec, ConnLimits limits,
               std::uint32_t idle_timeout_ms, NetCounters &counters,
-              IoBackend backend = IoBackend::Epoll);
+              bool gather_writes);
     ~EventLoop();
 
     EventLoop(const EventLoop &) = delete;
@@ -113,9 +115,6 @@ class EventLoop
 
     std::uint32_t workerId() const { return worker_; }
 
-    /** Effective backend (post-fallback); valid after start(). */
-    IoBackend backend() const { return effective_; }
-
     /** Requests served across all connections ever owned here. */
     std::uint64_t requestsServed() const
     {
@@ -131,13 +130,15 @@ class EventLoop
   private:
     void run();
     void wakeup();
+    /** Close the epoll and eventfd descriptors (either may be -1). */
+    void closeFds();
     void adoptPending();
     void closeConn(int fd);
     /** Close every idle-deadline-expired connection. */
     void reapIdle();
     /** Drain mode: retire connections whose replies are all out. */
     void retireDrained();
-    /** Re-arm poll interest according to wantsRead()/wantsWrite(). */
+    /** Point epoll interest at wantsRead()/wantsWrite(). */
     void updateInterest(Conn &c);
 
     std::uint32_t worker_;
@@ -145,9 +146,8 @@ class EventLoop
     ConnLimits limits_;
     std::uint32_t idleTimeoutMs_;
     NetCounters &counters_;
-    IoBackend requested_;
-    IoBackend effective_ = IoBackend::Epoll;
-    std::unique_ptr<Poller> poller_;
+    bool gather_;
+    int epfd_ = -1;
     int wakefd_ = -1;
     std::thread thread_;
     // atom-protocol: release-acquire-pair

@@ -26,6 +26,24 @@
 namespace tmemc::net
 {
 
+const char *
+ioBackendName(IoBackend b)
+{
+    return b == IoBackend::Writev ? "writev" : "epoll";
+}
+
+bool
+parseIoBackend(const std::string &s, IoBackend &out)
+{
+    if (s == "epoll")
+        out = IoBackend::Epoll;
+    else if (s == "writev")
+        out = IoBackend::Writev;
+    else
+        return false;
+    return true;
+}
+
 namespace
 {
 
@@ -143,8 +161,8 @@ Server::start()
     // whose items can be pinned (refcounts + non-transactional value
     // bytes — pinnedGetSupported()). Everything else — stores, binary
     // protocol, unsupported branches — takes the legacy string path.
-    const bool allow_pinned = cfg_.ioBackend != IoBackend::Epoll &&
-                              cache_.pinnedGetSupported();
+    const bool gather = cfg_.ioBackend == IoBackend::Writev;
+    const bool allow_pinned = gather && cache_.pinnedGetSupported();
     ExecFn exec = [this, allow_pinned](std::uint32_t worker, bool binary,
                                        const std::string &frame,
                                        mc::Reply &out) {
@@ -181,16 +199,12 @@ Server::start()
     };
     for (std::uint32_t w = 0; w < cfg_.workers; ++w) {
         loops_.push_back(std::make_unique<EventLoop>(
-            w, exec, cfg_.limits, cfg_.idleTimeoutMs, counters_,
-            cfg_.ioBackend));
+            w, exec, cfg_.limits, cfg_.idleTimeoutMs, counters_, gather));
         if (!loops_.back()->start()) {
             stop();
             return false;
         }
     }
-    // Every loop ran the same probe, so they all landed on the same
-    // effective backend; report loop 0's.
-    effectiveBackend_ = loops_[0]->backend();
     // The source stays registered across stop() — the counters and
     // servedFinal_ stay valid after teardown, so a metrics dump taken
     // after drain() still carries the final net totals. It is dropped
@@ -320,7 +334,7 @@ Server::statsLines() const
         "STAT backpressure_closes %llu\r\n"
         "STAT oom_errors %llu\r\n"
         "STAT accept_failures %llu\r\n",
-        ioBackendName(effectiveBackend_),
+        ioBackendName(cfg_.ioBackend),
         static_cast<unsigned long long>(s.currConnections),
         static_cast<unsigned long long>(s.totalConnections),
         static_cast<unsigned long long>(s.rejectedConnections),
@@ -335,6 +349,9 @@ Server::statsLines() const
 void
 Server::rejectConn(int fd)
 {
+    // Counted before the client can see the rejection, so a client
+    // that has read the error also sees it in `stats`.
+    counters_.rejectedConnections.fetch_add(1, std::memory_order_relaxed);
     // Best-effort single write: the socket buffer of a fresh
     // connection always has room for one short error line.
     [[maybe_unused]] ssize_t n =
@@ -346,7 +363,6 @@ Server::rejectConn(int fd)
     ::shutdown(fd, SHUT_WR);
     rejected_.push_back(
         {fd, std::chrono::steady_clock::now() + kRejectLinger});
-    counters_.rejectedConnections.fetch_add(1, std::memory_order_relaxed);
 }
 
 void

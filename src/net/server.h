@@ -49,6 +49,22 @@
 namespace tmemc::net
 {
 
+/**
+ * How the event loops write replies. Both run on level-triggered
+ * epoll readiness; they differ only in the flush.
+ */
+enum class IoBackend : std::uint8_t
+{
+    Epoll,   //!< Copying flush: one write(2) over coalesced replies.
+    Writev,  //!< Zero-copy gather flush: one writev(2) per flush.
+};
+
+/** Stable lowercase name ("epoll", "writev"). */
+const char *ioBackendName(IoBackend b);
+
+/** Parse a --io-backend value; @p out is untouched on failure. */
+bool parseIoBackend(const std::string &s, IoBackend &out);
+
 /** Server knobs. */
 struct ServerCfg
 {
@@ -64,11 +80,9 @@ struct ServerCfg
     /** Per-connection byte budgets (defaults in ConnLimits). */
     ConnLimits limits{};
     /**
-     * I/O backend (see io_backend.h). Epoll is the seed copy path;
-     * Writev/IoUring serve ASCII GET hits zero-copy (value bytes
-     * pinned in the slab, shipped by gather write). IoUring falls
-     * back to Writev at start() when the kernel refuses;
-     * ioBackend() reports the effective choice.
+     * I/O backend. Epoll is the seed copy path; Writev serves ASCII
+     * GET hits zero-copy (value bytes pinned in the slab, shipped by
+     * gather write). Served as `STAT io_backend <name>`.
      */
     IoBackend ioBackend = IoBackend::Epoll;
 };
@@ -117,10 +131,6 @@ class Server
     /** Bound port (useful with cfg.port == 0). */
     std::uint16_t port() const { return port_; }
 
-    /** Effective I/O backend (post io_uring fallback); valid after
-     *  start(). Also served as `STAT io_backend <name>`. */
-    IoBackend ioBackend() const { return effectiveBackend_; }
-
     /** Connections accepted since start(). */
     std::uint64_t accepted() const
     {
@@ -147,7 +157,6 @@ class Server
 
     mc::CacheIface &cache_;
     ServerCfg cfg_;
-    IoBackend effectiveBackend_ = IoBackend::Epoll;
     int listenFd_ = -1;
     std::uint16_t port_ = 0;
     std::thread acceptThread_;

@@ -6,7 +6,7 @@
  * Usage: tmemc_server [--branch NAME] [--port N] [--workers N]
  *                     [--shards N] [--mem MB] [--max-conns N]
  *                     [--idle-timeout MS] [--drain-ms MS]
- *                     [--io-backend epoll|writev|io_uring]
+ *                     [--io-backend epoll|writev]
  *                     [--metrics-json PATH] [--trace] [--verbose]
  *                     [--tail] [--tail-k N] [--tail-json PATH]
  *                     [--slow-shard IDX:DELAY_US[:EVERY_N]]
@@ -83,6 +83,20 @@ main(int argc, char **argv)
     std::string tail_json;
     std::string slow_shard;
     int verbose = 0;
+    auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [--branch NAME] [--port N] "
+                     "[--workers N] [--shards N] [--mem MB] "
+                     "[--max-conns N] [--idle-timeout MS] "
+                     "[--drain-ms MS] "
+                     "[--io-backend epoll|writev] "
+                     "[--metrics-json PATH] "
+                     "[--trace] [--verbose] "
+                     "[--tail] [--tail-k N] [--tail-json PATH] "
+                     "[--slow-shard IDX:DELAY_US[:EVERY_N]]\n",
+                     argv[0]);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -108,11 +122,9 @@ main(int argc, char **argv)
         else if (a == "--io-backend") {
             const std::string v = next();
             if (!net::parseIoBackend(v, io_backend)) {
-                std::fprintf(stderr,
-                             "unknown --io-backend '%s' (want epoll, "
-                             "writev, or io_uring)\n",
+                std::fprintf(stderr, "unknown --io-backend '%s'\n",
                              v.c_str());
-                return 2;
+                return usage();
             }
         } else if (a == "--metrics-json")
             metrics_json = next();
@@ -129,20 +141,8 @@ main(int argc, char **argv)
             slow_shard = next();
         else if (a == "--verbose")
             verbose = 1;
-        else {
-            std::fprintf(stderr,
-                         "usage: %s [--branch NAME] [--port N] "
-                         "[--workers N] [--shards N] [--mem MB] "
-                         "[--max-conns N] [--idle-timeout MS] "
-                         "[--drain-ms MS] "
-                         "[--io-backend epoll|writev|io_uring] "
-                         "[--metrics-json PATH] "
-                         "[--trace] [--verbose] "
-                         "[--tail] [--tail-k N] [--tail-json PATH] "
-                         "[--slow-shard IDX:DELAY_US[:EVERY_N]]\n",
-                         argv[0]);
-            return 2;
-        }
+        else
+            return usage();
     }
 
     // IT-RA expects the release-acquire STM; every other branch gets
@@ -211,7 +211,7 @@ main(int argc, char **argv)
     std::printf("tmemc_server: branch=%s workers=%u shards=%u "
                 "io_backend=%s listening on 127.0.0.1:%u\n",
                 cache->branchName(), workers, cache->shardCount(),
-                net::ioBackendName(server.ioBackend()),
+                net::ioBackendName(io_backend),
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
 

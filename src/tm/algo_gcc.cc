@@ -88,9 +88,10 @@ class GccEagerAlgo : public Algo
             const std::uint64_t w2 = o.load(std::memory_order_relaxed);
             if (w1 != w2)
                 continue;  // Raced with a commit; re-sample.
+            // Recorded before extending (see extendStartTime).
+            d.readSet.push_back({&o, w1});
             if (s1.version() > d.startTime && !extendStartTime(rt, d))
                 throw TxAbort{};
-            d.readSet.push_back({&o, w1});
             return val;
         }
     }

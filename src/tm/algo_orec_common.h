@@ -40,6 +40,11 @@ validateReadSet(TxDesc &d)
 /**
  * Timestamp extension (TinySTM style): advance the transaction's start
  * time to now if its reads are all still valid.
+ *
+ * A load that extends must add its own word to the read set first.
+ * Otherwise a commit to that word whose clock tick `now` includes
+ * passes validation unseen, the stale read hides under the new start
+ * time, and commit's end == startTime + 1 shortcut loses the update.
  * @return false if the transaction is doomed and must abort.
  */
 inline bool

@@ -117,9 +117,10 @@ class RaAlgo : public Algo
             const std::uint64_t w2 = o.load(std::memory_order_acquire);
             if (w1 != w2)
                 continue;
+            // Recorded before extending (see extendStartTime).
+            d.readSet.push_back({&o, w1});
             if (s1.version() > d.startTime && !extendStartTime(rt, d))
                 throw TxAbort{};
-            d.readSet.push_back({&o, w1});
             return buffered ? maskMerge(mem, buf_val, buf_mask) : mem;
         }
     }

@@ -519,13 +519,14 @@ namespace detail
 void
 handleRetry(Runtime &rt, TxDesc &d)
 {
-    // Snapshot the commit clocks before releasing anything, so a
-    // commit that lands during our rollback is not missed.
+    // Wait against the snapshot the attempt's reads were validated
+    // at: the orec algorithms' start time (extensions included) or
+    // NOrec's seqlock value. Re-reading the clock here instead would
+    // miss a commit that landed between a read and this point, and
+    // nothing would ever wake us.
     TxDomain &dom = d.dom();
-    const std::uint64_t clock_then =
-        dom.clock.load(std::memory_order_acquire);
-    const std::uint64_t seq_then =
-        dom.norecSeq.load(std::memory_order_acquire);
+    const bool norec = rt.cfg().algo == AlgoKind::NOrec;
+    const std::uint64_t seen = norec ? d.norecSnapshot : d.startTime;
 
     const bool was_ro_fast = d.roFast;
     d.roFast = false;
@@ -546,17 +547,16 @@ handleRetry(Runtime &rt, TxDesc &d)
     d.stats.total.retries++;
     d.stats.site(d.attr).retries++;
 
-    // Wait for any writer commit in this domain. A full implementation
-    // would watch only the read set's orecs; waiting on the domain
-    // clocks is the simple, conservative version (cf. NOrec-style
-    // retry). Foreign-domain commits cannot change anything this
-    // transaction read, so they rightly do not wake it.
-    for (;;) {
-        if (dom.clock.load(std::memory_order_acquire) != clock_then ||
-            dom.norecSeq.load(std::memory_order_acquire) != seq_then)
-            break;
+    // Wait for any writer commit in this domain since that snapshot.
+    // A full implementation would watch only the read set's orecs;
+    // waiting on the domain clock is the simple, conservative version
+    // (cf. NOrec-style retry): a spurious wake-up costs one
+    // re-execution, a lost one hangs. Foreign-domain commits cannot
+    // change anything this transaction read, so they rightly do not
+    // wake it.
+    while ((norec ? dom.norecSeq.load(std::memory_order_acquire)
+                  : dom.clock.load(std::memory_order_acquire)) == seen)
         std::this_thread::yield();
-    }
     // Closed after the wait: the blocked time is the retry's cost,
     // and the tail span chain must show where it went.
     obs::tail::noteTxEnd(obs::tail::TxOutcome::Retry, false);

@@ -1,13 +1,13 @@
 /**
  * @file
- * The I/O backend matrix (io_backend.h): every backend serves the
- * same bytes, io_uring degrades gracefully where the kernel refuses
- * it, and the zero-copy gather path obeys the same backpressure caps
- * and fault-injection invariants as the seed copy path.
+ * The I/O backend matrix (epoll / writev, net/server.h): both
+ * backends serve the same bytes, and the zero-copy gather path obeys
+ * the same backpressure caps and fault-injection invariants as the
+ * seed copy path.
  *
  * Branch is IP-onCommit throughout: its item strategy supports pinned
- * gets (CacheCore::pinnedGetSupported()), so the writev/io_uring
- * backends actually ship GET hits zero-copy — the IT-* branches fall
+ * gets (CacheCore::pinnedGetSupported()), so the writev backend
+ * actually ships GET hits zero-copy — the IT-* branches fall
  * back to the copy path and would test nothing new.
  *
  * Tests named *Chaos* run fault schedules on the net.sys.writev site;
@@ -27,7 +27,6 @@
 #include "mc/protocol.h"
 #include "mc/reply.h"
 #include "net/client.h"
-#include "net/io_backend.h"
 #include "net/server.h"
 #include "tm/runtime.h"
 
@@ -40,28 +39,23 @@ using namespace tmemc;
 // Flag plumbing
 // ----------------------------------------------------------------------
 
-TEST(IoBackendFlag, ParseAcceptsCanonicalNamesAndAliases)
+TEST(IoBackendFlag, ParseAcceptsEpollAndWritevOnly)
 {
-    net::IoBackend b = net::IoBackend::Epoll;
+    net::IoBackend b = net::IoBackend::Writev;
     EXPECT_TRUE(net::parseIoBackend("epoll", b));
     EXPECT_EQ(b, net::IoBackend::Epoll);
     EXPECT_TRUE(net::parseIoBackend("writev", b));
     EXPECT_EQ(b, net::IoBackend::Writev);
-    EXPECT_TRUE(net::parseIoBackend("io_uring", b));
-    EXPECT_EQ(b, net::IoBackend::IoUring);
-    EXPECT_TRUE(net::parseIoBackend("uring", b));
-    EXPECT_EQ(b, net::IoBackend::IoUring);
-    EXPECT_TRUE(net::parseIoBackend("io-uring", b));
-    EXPECT_EQ(b, net::IoBackend::IoUring);
 
-    b = net::IoBackend::Writev;
-    EXPECT_FALSE(net::parseIoBackend("kqueue", b));
-    EXPECT_EQ(b, net::IoBackend::Writev);  // Untouched on failure.
+    // There is no ring-based readiness backend; its old name and
+    // aliases are rejected like any unknown value.
+    for (const char *gone : {"io_uring", "uring", "io-uring", "kqueue"}) {
+        EXPECT_FALSE(net::parseIoBackend(gone, b)) << gone;
+        EXPECT_EQ(b, net::IoBackend::Writev);  // Untouched on failure.
+    }
 
     EXPECT_STREQ(net::ioBackendName(net::IoBackend::Epoll), "epoll");
     EXPECT_STREQ(net::ioBackendName(net::IoBackend::Writev), "writev");
-    EXPECT_STREQ(net::ioBackendName(net::IoBackend::IoUring),
-                 "io_uring");
 }
 
 // ----------------------------------------------------------------------
@@ -155,14 +149,6 @@ class IoBackendTest : public ::testing::TestWithParam<net::IoBackend>
 TEST_P(IoBackendTest, RoundTripsAreByteIdenticalAcrossBackends)
 {
     startServer(net::ServerCfg{});
-    // A requested io_uring may legitimately degrade to writev; it must
-    // never fail to start or fall all the way back to the copy path.
-    if (GetParam() == net::IoBackend::IoUring) {
-        EXPECT_NE(server_->ioBackend(), net::IoBackend::Epoll);
-    } else {
-        EXPECT_EQ(server_->ioBackend(), GetParam());
-    }
-
     net::Client c = makeClient();
     for (int i = 0; i < 20; ++i) {
         const std::string k = "k" + std::to_string(i);
@@ -192,11 +178,10 @@ TEST_P(IoBackendTest, RoundTripsAreByteIdenticalAcrossBackends)
     ASSERT_GT(mc::binParseResponse(wire, r), 0u);
     EXPECT_EQ(r.status, mc::BinStatus::Ok);
 
-    // The effective backend is visible over the wire.
+    // The configured backend is visible over the wire.
     const std::string stats = c.roundTripAscii("stats\r\n");
-    const std::string want =
-        std::string("STAT io_backend ") +
-        net::ioBackendName(server_->ioBackend()) + "\r\n";
+    const std::string want = std::string("STAT io_backend ") +
+                             net::ioBackendName(GetParam()) + "\r\n";
     EXPECT_NE(stats.find(want), std::string::npos) << stats;
 }
 
@@ -640,19 +625,11 @@ TEST_P(IoBackendTest, ChaosEvictionPressureNeverTearsPinnedReplies)
 
 INSTANTIATE_TEST_SUITE_P(Backends, IoBackendTest,
                          ::testing::Values(net::IoBackend::Epoll,
-                                           net::IoBackend::Writev,
-                                           net::IoBackend::IoUring),
+                                           net::IoBackend::Writev),
                          [](const auto &info) {
-                             switch (info.param) {
-                             case net::IoBackend::Epoll:
-                                 return "Epoll";
-                             case net::IoBackend::Writev:
-                                 return "Writev";
-                             case net::IoBackend::IoUring:
-                                 return "IoUring";
-                             default:
-                                 return "Other";
-                             }
+                             return info.param == net::IoBackend::Epoll
+                                        ? "Epoll"
+                                        : "Writev";
                          });
 
 } // namespace
