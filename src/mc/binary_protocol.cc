@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "mc/ctx.h"
@@ -63,8 +64,8 @@ get64(const std::uint8_t *p)
 
 /** Build a response frame. */
 std::string
-binResponseFrame(BinOp op, BinStatus status, const std::string &key,
-                 const std::string &extras, const std::string &value,
+binResponseFrame(BinOp op, BinStatus status, std::string_view key,
+                 std::string_view extras, std::string_view value,
                  std::uint64_t cas, std::uint32_t opaque)
 {
     BinHeader h;
@@ -84,6 +85,9 @@ binResponseFrame(BinOp op, BinStatus status, const std::string &key,
     out += value;
     return out;
 }
+
+/** Response extras of a GET hit: the item flags, always 0 here. */
+constexpr std::string_view kGetFlags("\0\0\0\0", 4);
 
 BinStatus
 statusFor(OpStatus st)
@@ -323,27 +327,24 @@ binaryExecute(CacheIface &cache, std::uint32_t worker,
                          nop, nh.opaque});
             pos += kBinHeaderSize + nh.bodyLength;
         }
-        std::vector<std::vector<char>> bufs(q.size());
+        const CopySpace space(q.size());
         std::vector<CacheIface::MultiGetReq> reqs(q.size());
         for (std::size_t i = 0; i < q.size(); ++i) {
-            bufs[i].resize(65536);
             reqs[i].key = q[i].key.data();
             reqs[i].nkey = q[i].key.size();
-            reqs[i].out = bufs[i].data();
-            reqs[i].outCap = bufs[i].size();
+            reqs[i].out = space.slot(i);
+            reqs[i].outCap = kMaxValueCopy;
         }
         cache.getMulti(worker, reqs.data(), reqs.size());
         std::string out;
-        const std::string flags(4, '\0');
         for (std::size_t i = 0; i < q.size(); ++i) {
             const auto &r = reqs[i].result;
             if (r.status != OpStatus::Ok)
                 continue;
             out += binResponseFrame(
                 q[i].op, BinStatus::Ok,
-                q[i].op == BinOp::GetKQ ? q[i].key : "", flags,
-                std::string(bufs[i].data(),
-                            std::min(r.vlen, bufs[i].size())),
+                q[i].op == BinOp::GetKQ ? q[i].key : "", kGetFlags,
+                {space.slot(i), std::min(r.vlen, kMaxValueCopy)},
                 r.casId, q[i].opaque);
         }
         return out;
@@ -351,19 +352,18 @@ binaryExecute(CacheIface &cache, std::uint32_t worker,
 
       case BinOp::Get:
       case BinOp::GetK: {
-        std::string buf(65536, '\0');
+        const CopySpace space(1);
         const auto r = cache.get(worker, key.data(), key.size(),
-                                 buf.data(), buf.size());
+                                 space.slot(0), kMaxValueCopy);
         if (r.status != OpStatus::Ok) {
             return binResponseFrame(op, BinStatus::KeyNotFound,
                                     op == BinOp::GetK ? key : "", "", "",
                                     0, h.opaque);
         }
-        std::string flags(4, '\0');  // Response extras: flags.
-        buf.resize(std::min(r.vlen, buf.size()));
-        return binResponseFrame(op, BinStatus::Ok,
-                                op == BinOp::GetK ? key : "", flags, buf,
-                                r.casId, h.opaque);
+        return binResponseFrame(
+            op, BinStatus::Ok, op == BinOp::GetK ? key : "", kGetFlags,
+            {space.slot(0), std::min(r.vlen, kMaxValueCopy)}, r.casId,
+            h.opaque);
       }
 
       case BinOp::Set:
@@ -380,16 +380,15 @@ binaryExecute(CacheIface &cache, std::uint32_t worker,
             mode = StoreMode::Replace;
         if (h.cas != 0)
             mode = StoreMode::Cas;  // CAS rides on set, per protocol.
-        const auto st = cache.store(worker, key.data(), key.size(), value,
-                                    value_len, mode, h.cas);
+        // Extras: flags(4) expiry(4). The reply carries the item's new
+        // CAS id, as memcached does, taken from the store itself.
+        const std::uint32_t expiry = get32(
+            reinterpret_cast<const std::uint8_t *>(extras.data()) + 4);
         std::uint64_t cas = 0;
-        if (st == OpStatus::Ok) {
-            // Return the item's new CAS id, as memcached does.
-            std::string tmp(1, '\0');
-            const auto g = cache.get(worker, key.data(), key.size(),
-                                     tmp.data(), tmp.size());
-            cas = g.casId;
-        }
+        const auto st = cache.store(worker, key.data(), key.size(), value,
+                                    value_len, mode, h.cas,
+                                    static_cast<std::int64_t>(expiry),
+                                    &cas);
         return binResponseFrame(op, statusFor(st), "", "", "", cas,
                                 h.opaque);
       }

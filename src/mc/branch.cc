@@ -138,10 +138,11 @@ class CacheAdapter final : public CacheIface
     OpStatus
     store(std::uint32_t tid, const char *key, std::size_t nkey,
           const char *val, std::size_t nbytes, StoreMode mode,
-          std::uint64_t cas_expected) override
+          std::uint64_t cas_expected, std::int64_t exptime,
+          std::uint64_t *cas_out) override
     {
         return core_.store(tid, key, nkey, val, nbytes, mode,
-                           cas_expected);
+                           cas_expected, exptime, cas_out);
     }
 
     OpStatus

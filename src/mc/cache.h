@@ -142,8 +142,8 @@ class CacheCore
         tm::DomainScope ds(&domain_);
         PlainCtx<cfg> c;
         c.volatileStore(&mxCanRun_, std::uint64_t{0});
-        policy_.maintWake(c, MaintDomain::Hash);
-        policy_.maintWake(c, MaintDomain::Slab);
+        policy_.maintWakeUnlocked(c, MaintDomain::Hash);
+        policy_.maintWakeUnlocked(c, MaintDomain::Slab);
         hashThread_.join();
         slabThread_.join();
         releaseAllMemory();
@@ -386,11 +386,16 @@ class CacheCore
         });
     }
 
-    /** SET/ADD/REPLACE/CAS. */
+    /**
+     * SET/ADD/REPLACE/CAS. The item is linked with expiry @p exptime
+     * (0 = never), and on Ok its new CAS id — assigned inside the link
+     * transaction — is written to @p cas_out when non-null.
+     */
     OpStatus
     store(std::uint32_t tid, const char *key, std::size_t nkey,
           const char *val, std::size_t nbytes,
-          StoreMode mode = StoreMode::Set, std::uint64_t cas_expected = 0)
+          StoreMode mode = StoreMode::Set, std::uint64_t cas_expected = 0,
+          std::int64_t exptime = 0, std::uint64_t *cas_out = nullptr)
     {
         tm::DomainScope ds(&domain_);
         tickAdvance();
@@ -416,7 +421,7 @@ class CacheCore
         fresh->nbytes = static_cast<std::uint32_t>(nbytes);
         fresh->nkey = static_cast<std::uint16_t>(nkey);
         fresh->clsid = static_cast<std::uint8_t>(cls);
-        fresh->exptime = 0;
+        fresh->exptime = exptime;
         std::memcpy(fresh->key(), key, nkey);
         std::memcpy(fresh->value(), val, nbytes);
 
@@ -426,6 +431,7 @@ class CacheCore
             OpStatus status = OpStatus::Ok;
             bool replaced = false;
             std::uint64_t old_bytes = 0;
+            std::uint64_t cas = 0;
         };
         const LinkResult lr = policy_.cacheSection(
             sites::storeLink, [&](auto &c) -> LinkResult {
@@ -461,6 +467,7 @@ class CacheCore
             c.store(&fresh->casId, cas);
             c.store(&fresh->itFlags, std::uint32_t{kItemLinked});
             c.logEvent(cfg_.verbose >= 2, "> STORE");
+            r.cas = cas;
             return r;
         });
 
@@ -488,6 +495,8 @@ class CacheCore
 
         maybeTriggerExpansion();
         bumpThreadStat(tid, &ThreadStatsBlock::bytesRead, nbytes);
+        if (cas_out != nullptr)
+            *cas_out = lr.cas;
         return OpStatus::Ok;
     }
 
@@ -845,7 +854,7 @@ class CacheCore
         c.store(&slabs_.rebalSrc, std::uint64_t{src_cls});
         c.store(&slabs_.rebalDst, std::uint64_t{dst_cls});
         c.volatileStore(&slabs_.rebalSignal, std::uint64_t{1});
-        policy_.maintWake(c, MaintDomain::Slab);
+        policy_.maintWakeUnlocked(c, MaintDomain::Slab);
     }
 
     /** Block until no expansion or rebalance is in flight. */
@@ -1138,11 +1147,14 @@ class CacheCore
     void
     maybeTriggerExpansion()
     {
-        // Racy pre-check outside any section, like memcached's.
+        // Racy pre-check outside any section, like memcached's. The
+        // loads are relaxed atomics: committers store these words
+        // concurrently, and the section below re-checks.
         PlainCtx<cfg> pc;
-        const std::uint64_t items = pc.load(&assoc_.itemCount);
+        const std::uint64_t items =
+            __atomic_load_n(&assoc_.itemCount, __ATOMIC_RELAXED);
         const std::uint64_t buckets =
-            1ull << pc.load(&assoc_.hashPower);
+            1ull << __atomic_load_n(&assoc_.hashPower, __ATOMIC_RELAXED);
         if (items <= buckets + buckets / 2)
             return;
         if (pc.volatileLoad(&assoc_.expanding) != 0 ||
@@ -1236,7 +1248,7 @@ class CacheCore
         pc.store(&slabs_.rebalSrc, std::uint64_t{best});
         pc.store(&slabs_.rebalDst, std::uint64_t{dst_cls});
         pc.volatileStore(&slabs_.rebalSignal, std::uint64_t{1});
-        policy_.maintWake(pc, MaintDomain::Slab);
+        policy_.maintWakeUnlocked(pc, MaintDomain::Slab);
     }
 
     void

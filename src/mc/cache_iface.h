@@ -123,11 +123,19 @@ class CacheIface
         (void)handle;
     }
 
+    /**
+     * SET/ADD/REPLACE/CAS with expiry @p exptime (0 = never). On Ok the
+     * item's new CAS id is written to @p cas_out when non-null: it is
+     * the id the store's own link transaction assigned, so it never
+     * belongs to a concurrent writer.
+     */
     virtual OpStatus store(std::uint32_t tid, const char *key,
                            std::size_t nkey, const char *val,
                            std::size_t nbytes,
                            StoreMode mode = StoreMode::Set,
-                           std::uint64_t cas_expected = 0) = 0;
+                           std::uint64_t cas_expected = 0,
+                           std::int64_t exptime = 0,
+                           std::uint64_t *cas_out = nullptr) = 0;
     virtual OpStatus del(std::uint32_t tid, const char *key,
                          std::size_t nkey) = 0;
     virtual OpStatus arith(std::uint32_t tid, const char *key,

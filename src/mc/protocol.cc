@@ -67,7 +67,23 @@ storeReply(OpStatus st)
     return "SERVER_ERROR\r\n";
 }
 
+/** Slots in the per-thread CopySpace block. */
+constexpr std::size_t kRetainedCopyKeys = 16;
+
 } // namespace
+
+CopySpace::CopySpace(std::size_t nkeys)
+{
+    if (nkeys > kRetainedCopyKeys) {
+        own_ = std::make_unique_for_overwrite<char[]>(nkeys * kMaxValueCopy);
+        base_ = own_.get();
+        return;
+    }
+    thread_local const std::unique_ptr<char[]> retained =
+        std::make_unique_for_overwrite<char[]>(kRetainedCopyKeys *
+                                               kMaxValueCopy);
+    base_ = retained.get();
+}
 
 FrameResult
 protocolTryFrame(const char *data, std::size_t len)
@@ -171,14 +187,13 @@ protocolExecute(CacheIface &cache, std::uint32_t worker,
         // Multi-key get: one batched lookup so a sharded cache visits
         // each touched shard once, not once per key.
         const std::size_t nkeys = tok.size() - 1;
-        std::vector<std::vector<char>> bufs(nkeys);
+        const CopySpace space(nkeys);
         std::vector<CacheIface::MultiGetReq> reqs(nkeys);
         for (std::size_t i = 0; i < nkeys; ++i) {
-            bufs[i].resize(65536);
             reqs[i].key = tok[i + 1].data();
             reqs[i].nkey = tok[i + 1].size();
-            reqs[i].out = bufs[i].data();
-            reqs[i].outCap = bufs[i].size();
+            reqs[i].out = space.slot(i);
+            reqs[i].outCap = kMaxValueCopy;
         }
         cache.getMulti(worker, reqs.data(), reqs.size());
         std::string reply;
@@ -199,7 +214,7 @@ protocolExecute(CacheIface &cache, std::uint32_t worker,
                                   r.vlen);
             }
             reply.append(header, static_cast<std::size_t>(n));
-            reply.append(bufs[i].data(), std::min(r.vlen, bufs[i].size()));
+            reply.append(space.slot(i), std::min(r.vlen, kMaxValueCopy));
             reply.append("\r\n");
         }
         reply.append("END\r\n");
@@ -228,9 +243,7 @@ protocolExecute(CacheIface &cache, std::uint32_t worker,
             mode = StoreMode::Cas;
         const auto st = cache.store(worker, key.data(), key.size(),
                                     request.data() + body_off, bytes,
-                                    mode, cas);
-        if (st == OpStatus::Ok && exptime > 0)
-            cache.touch(worker, key.data(), key.size(), exptime);
+                                    mode, cas, std::max(exptime, 0L));
         return storeReply(st);
     }
 

@@ -23,6 +23,7 @@
 #ifndef TMEMC_MC_PROTOCOL_H
 #define TMEMC_MC_PROTOCOL_H
 
+#include <memory>
 #include <string>
 
 #include "mc/cache_iface.h"
@@ -59,6 +60,35 @@ std::string protocolExecute(CacheIface &cache, std::uint32_t worker,
  */
 bool protocolExecutePinned(CacheIface &cache, std::uint32_t worker,
                            const std::string &request, Reply &out);
+
+// ----------------------------------------------------------------------
+// Value copy space
+// ----------------------------------------------------------------------
+
+/** Most value bytes a copying GET reply carries for one key. */
+constexpr std::size_t kMaxValueCopy = 65536;
+
+/**
+ * Uninitialised space to copy the values of a run of @p nkeys GETs
+ * into: slot(i), kMaxValueCopy bytes, is key i's. A run of up to 16
+ * keys uses a per-thread block allocated once and reused by every
+ * later request on that thread (1 MiB of address space; only the pages
+ * values land in become resident). A longer run gets a block of its
+ * own, freed with this object. The space is never zero-filled: a GET
+ * writes the bytes it reports, and a reply carries only those.
+ * Valid until the next CopySpace on the same thread.
+ */
+class CopySpace
+{
+  public:
+    explicit CopySpace(std::size_t nkeys);
+
+    char *slot(std::size_t i) const { return base_ + i * kMaxValueCopy; }
+
+  private:
+    std::unique_ptr<char[]> own_;
+    char *base_ = nullptr;
+};
 
 // ----------------------------------------------------------------------
 // Streaming framing

@@ -178,6 +178,26 @@ class LockPolicy
     }
 
     /**
+     * Wake the domain's maintainer from outside any critical section,
+     * after storing its wake flag without the domain's lock. Under the
+     * condition-variable protocol the notify first passes through that
+     * lock: a maintainer between its predicate check and its wait
+     * still holds it, and a bare notify in that window is lost, which
+     * leaves the maintainer (and the destructor joining it) asleep
+     * for good.
+     */
+    template <typename Ctx>
+    void
+    maintWakeUnlocked(Ctx &c, MaintDomain dom)
+    {
+        if constexpr (!C.semaphores) {
+            std::lock_guard<ProfiledMutex> pass(
+                dom == MaintDomain::Hash ? cacheLock_ : slabsLock_);
+        }
+        maintWake(c, dom);
+    }
+
+    /**
      * Maintainer-side wait. The predicate is evaluated under the
      * domain's lock (condition-variable protocol) or via plain reads
      * between semaphore waits (semaphore protocol, Figure 2).

@@ -227,6 +227,14 @@ class TmPolicy
         c.semPost(sem(dom));
     }
 
+    /** A semaphore post is never lost, inside a section or not. */
+    template <typename Ctx>
+    void
+    maintWakeUnlocked(Ctx &c, MaintDomain dom)
+    {
+        maintWake(c, dom);
+    }
+
     template <typename Pred>
     void
     maintWait(MaintDomain dom, Pred &&pred)

@@ -364,7 +364,19 @@ commitAttempt(Runtime &rt, TxDesc &d)
         if (quiesce_at != 0)
             rt.quiesce(&d.dom(), quiesce_at, &d);
     } else {
-        d.dom().serialLock.writeUnlock();
+        // A serial attempt writes raw and moves neither clock, so a
+        // transaction parked in handleRetry would sleep past it. Step
+        // the word that wait watches. Uninstrumented code in the body
+        // may write too, so there is no cheap "did it write" test; a
+        // spurious wake-up costs one re-execution, a lost one hangs.
+        // No speculative attempt runs while the write lock is held, so
+        // the step races no committer, and NOrec's seqlock stays even.
+        TxDomain &dom = d.dom();
+        if (rt.cfg().algo == AlgoKind::NOrec)
+            dom.norecSeq.fetch_add(2, std::memory_order_release);
+        else
+            dom.clock.fetch_add(1, std::memory_order_release);
+        dom.serialLock.writeUnlock();
     }
 }
 

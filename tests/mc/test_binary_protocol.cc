@@ -9,6 +9,7 @@
 
 #include "mc/binary_protocol.h"
 #include "mc/cache_iface.h"
+#include "mc/protocol.h"
 #include "tm/api.h"
 #include "workload/memslap.h"
 
@@ -118,6 +119,148 @@ TEST_P(BinaryProtocolTest, CasViaSetHeader)
     const auto stale =
         exec(binSetRequest("c", "v3", 0, 0, BinOp::Set, set.cas));
     EXPECT_EQ(stale.status, BinStatus::KeyExists);
+}
+
+TEST_P(BinaryProtocolTest, SetCountsNoGet)
+{
+    // The reply's CAS id comes from the store itself: a set runs no
+    // hidden GET, so the retrieval counters do not move.
+    exec(binSetRequest("warm", "x"));
+    const ThreadStatsBlock before = cache_->threadStats();
+    EXPECT_EQ(exec(binSetRequest("sc", "value")).status, BinStatus::Ok);
+    EXPECT_EQ(exec(binSetRequest("sc", "v2", 0, 0, BinOp::Replace)).status,
+              BinStatus::Ok);
+    const ThreadStatsBlock after = cache_->threadStats();
+    EXPECT_EQ(after.cmdGet, before.cmdGet);
+    EXPECT_EQ(after.getHits, before.getHits);
+    EXPECT_EQ(after.bytesWritten, before.bytesWritten);
+    EXPECT_EQ(after.cmdSet, before.cmdSet + 2);
+}
+
+TEST_P(BinaryProtocolTest, SetCasMatchesGets)
+{
+    const auto set = exec(binSetRequest("gc", "abc"));
+    ASSERT_EQ(set.status, BinStatus::Ok);
+    ASSERT_NE(set.cas, 0u);
+    const std::string expect = "VALUE gc 0 3 " + std::to_string(set.cas) +
+                               "\r\nabc\r\nEND\r\n";
+    EXPECT_EQ(protocolExecute(*cache_, 0, "gets gc\r\n"), expect);
+
+    // A CAS set with that id succeeds and reports the next id.
+    const auto cas =
+        exec(binSetRequest("gc", "def", 0, 0, BinOp::Set, set.cas));
+    EXPECT_EQ(cas.status, BinStatus::Ok);
+    EXPECT_NE(cas.cas, set.cas);
+    EXPECT_EQ(exec(binRequest(BinOp::Get, "gc")).cas, cas.cas);
+}
+
+TEST_P(BinaryProtocolTest, SetAppliesExpiry)
+{
+    // Extras carry flags(4) expiry(4); expiry 1 must reach the item,
+    // as TOUCH's does in BranchTest.TouchUpdatesExpiry.
+    ASSERT_EQ(exec(binSetRequest("ex", "v", 0, 1)).status, BinStatus::Ok);
+    BinStatus st = BinStatus::Ok;
+    for (int i = 0; i < 100000 && st == BinStatus::Ok; ++i)
+        st = exec(binRequest(BinOp::Get, "ex")).status;
+    EXPECT_EQ(st, BinStatus::KeyNotFound);
+    EXPECT_GE(cache_->globalStats().expiredUnfetched, 1u);
+}
+
+/** The exact wire reply to a GET/GETK/GETQ/GETKQ hit. */
+std::string
+hitFrame(BinOp op, const std::string &key, const std::string &value,
+         std::uint64_t cas, std::uint32_t opaque = 0)
+{
+    BinHeader h;
+    h.magic = static_cast<std::uint8_t>(BinMagic::Response);
+    h.opcode = static_cast<std::uint8_t>(op);
+    h.keyLength = static_cast<std::uint16_t>(key.size());
+    h.extrasLength = 4;
+    h.bodyLength = static_cast<std::uint32_t>(4 + key.size() + value.size());
+    h.cas = cas;
+    h.opaque = opaque;
+    std::string out(kBinHeaderSize, '\0');
+    binEncodeHeader(h, reinterpret_cast<std::uint8_t *>(out.data()));
+    return out + std::string(4, '\0') + key + value;
+}
+
+/** The exact wire reply to a loud GET miss. */
+std::string
+missFrame(BinOp op)
+{
+    BinHeader h;
+    h.magic = static_cast<std::uint8_t>(BinMagic::Response);
+    h.opcode = static_cast<std::uint8_t>(op);
+    h.status = static_cast<std::uint16_t>(BinStatus::KeyNotFound);
+    std::string out(kBinHeaderSize, '\0');
+    binEncodeHeader(h, reinterpret_cast<std::uint8_t *>(out.data()));
+    return out;
+}
+
+TEST_P(BinaryProtocolTest, ReusedCopySpaceLeavesNoStaleBytes)
+{
+    // One thread reads a value of nearly 16 KiB, then a 3-byte one,
+    // then a miss: each reply must be exact, with nothing left over
+    // from the larger value in the reused copy space.
+    const std::string big(16000, 'B');
+    const auto sb = exec(binSetRequest("big", big));
+    const auto ss = exec(binSetRequest("small", "abc"));
+    ASSERT_EQ(sb.status, BinStatus::Ok);
+    ASSERT_EQ(ss.status, BinStatus::Ok);
+
+    auto run = [&](const std::string &req) {
+        return binaryExecute(*cache_, 0, req);
+    };
+    EXPECT_EQ(run(binRequest(BinOp::Get, "big")),
+              hitFrame(BinOp::Get, "", big, sb.cas));
+    EXPECT_EQ(run(binRequest(BinOp::GetK, "small")),
+              hitFrame(BinOp::GetK, "small", "abc", ss.cas));
+    EXPECT_EQ(run(binRequest(BinOp::Get, "absent")),
+              missFrame(BinOp::Get));
+
+    // Quiet-get runs, one key each, then all three in one run.
+    EXPECT_EQ(run(binRequest(BinOp::GetQ, "big", "", "", 0, 1)),
+              hitFrame(BinOp::GetQ, "", big, sb.cas, 1));
+    EXPECT_EQ(run(binRequest(BinOp::GetKQ, "small", "", "", 0, 2)),
+              hitFrame(BinOp::GetKQ, "small", "abc", ss.cas, 2));
+    EXPECT_EQ(run(binRequest(BinOp::GetQ, "absent", "", "", 0, 3)), "");
+    EXPECT_EQ(run(binRequest(BinOp::GetQ, "big", "", "", 0, 4) +
+                  binRequest(BinOp::GetQ, "small", "", "", 0, 5) +
+                  binRequest(BinOp::GetQ, "absent", "", "", 0, 6)),
+              hitFrame(BinOp::GetQ, "", big, sb.cas, 4) +
+                  hitFrame(BinOp::GetQ, "", "abc", ss.cas, 5));
+
+    // An ASCII multi-get on the same thread shares the copy space.
+    const std::string big_reply = "VALUE big 0 16000\r\n" + big + "\r\n";
+    const std::string small_reply = "VALUE small 0 3\r\nabc\r\n";
+    auto ascii = [&](const std::string &req) {
+        return protocolExecute(*cache_, 0, req);
+    };
+    EXPECT_EQ(ascii("get big\r\n"), big_reply + "END\r\n");
+    EXPECT_EQ(ascii("get small\r\n"), small_reply + "END\r\n");
+    EXPECT_EQ(ascii("get absent\r\n"), "END\r\n");
+    EXPECT_EQ(ascii("get big small absent\r\n"),
+              big_reply + small_reply + "END\r\n");
+    EXPECT_EQ(ascii("get small absent big\r\n"),
+              small_reply + big_reply + "END\r\n");
+}
+
+TEST_P(BinaryProtocolTest, LongQuietGetRunAnswersEveryHit)
+{
+    // A run longer than the per-thread copy block gets space of its own.
+    std::string run;
+    std::string expect;
+    for (int i = 0; i < 40; ++i) {
+        const std::string k = "lq" + std::to_string(i);
+        const std::string v(static_cast<std::size_t>(i * 97), 'a' + i % 26);
+        const auto set = exec(binSetRequest(k, v));
+        ASSERT_EQ(set.status, BinStatus::Ok);
+        run += binRequest(BinOp::GetKQ, k, "", "", 0,
+                          static_cast<std::uint32_t>(i));
+        expect += hitFrame(BinOp::GetKQ, k, v, set.cas,
+                           static_cast<std::uint32_t>(i));
+    }
+    EXPECT_EQ(binaryExecute(*cache_, 0, run), expect);
 }
 
 TEST_P(BinaryProtocolTest, DeleteAndNoop)

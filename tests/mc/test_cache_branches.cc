@@ -225,6 +225,37 @@ TEST_P(BranchTest, TouchUpdatesExpiry)
     EXPECT_GE(cache_->globalStats().expiredUnfetched, 1u);
 }
 
+TEST_P(BranchTest, StoreReportsTheCasIdItLinked)
+{
+    std::uint64_t cas = 0;
+    std::uint64_t seen = 0;
+    std::string out;
+    ASSERT_EQ(cache_->store(0, "id", 2, "v1", 2, StoreMode::Set, 0, 0, &cas),
+              OpStatus::Ok);
+    ASSERT_TRUE(fetch("id", out, &seen));
+    EXPECT_NE(cas, 0u);
+    EXPECT_EQ(cas, seen);
+
+    // Every storing mode reports the id the next get sees.
+    const std::uint64_t prev = cas;
+    ASSERT_EQ(cache_->store(0, "id", 2, "v2", 2, StoreMode::Cas, cas, 0,
+                            &cas),
+              OpStatus::Ok);
+    ASSERT_TRUE(fetch("id", out, &seen));
+    EXPECT_NE(cas, prev);
+    EXPECT_EQ(cas, seen);
+    ASSERT_EQ(cache_->store(0, "id", 2, "v3", 2, StoreMode::Replace, 0, 0,
+                            &cas),
+              OpStatus::Ok);
+    ASSERT_TRUE(fetch("id", out, &seen));
+    EXPECT_EQ(cas, seen);
+    ASSERT_EQ(cache_->store(0, "id2", 3, "v", 1, StoreMode::Add, 0, 0,
+                            &cas),
+              OpStatus::Ok);
+    ASSERT_TRUE(fetch("id2", out, &seen));
+    EXPECT_EQ(cas, seen);
+}
+
 TEST_P(BranchTest, StatsCountersTrackOps)
 {
     ASSERT_EQ(put("s1", "v"), OpStatus::Ok);
@@ -289,8 +320,9 @@ TEST_P(BranchTest, ManyKeysSurviveHashExpansion)
 
 TEST_P(BranchTest, EvictionKeepsCacheWithinBudget)
 {
-    // Tiny cache: force the eviction path hard.
-    tm::Runtime::get().configure(runtimeCfgFor(GetParam()));
+    // Tiny cache: force the eviction path hard. SetUp configured the
+    // runtime already; configuring again here would race cache_'s
+    // maintainers, whose wake-up probes are transactions.
     Settings s;
     s.maxBytes = 64 * 1024;
     s.slabPageSize = 16 * 1024;

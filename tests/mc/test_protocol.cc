@@ -75,6 +75,19 @@ TEST_P(ProtocolTest, GetsReturnsCasAndCasStores)
     EXPECT_EQ(exec("cas zz 0 0 1 1\r\nx\r\n"), "NOT_FOUND\r\n");
 }
 
+TEST_P(ProtocolTest, StorageExptimeSetInsideTheStore)
+{
+    // The expiry rides on the store itself: no follow-up TOUCH, so no
+    // phantom touch hit, and the item still expires.
+    EXPECT_EQ(exec("set k 0 1 1\r\nx\r\n"), "STORED\r\n");
+    EXPECT_EQ(cache_->threadStats().touchHits, 0u);
+    std::string reply = "VALUE";
+    for (int i = 0; i < 100000 && reply != "END\r\n"; ++i)
+        reply = exec("get k\r\n");
+    EXPECT_EQ(reply, "END\r\n");
+    EXPECT_GE(cache_->globalStats().expiredUnfetched, 1u);
+}
+
 TEST_P(ProtocolTest, AppendPrepend)
 {
     EXPECT_EQ(exec("append m 0 0 1\r\nx\r\n"), "NOT_STORED\r\n");

@@ -307,10 +307,11 @@ class PinCountingCache : public mc::CacheIface
     mc::OpStatus
     store(std::uint32_t tid, const char *key, std::size_t nkey,
           const char *val, std::size_t nbytes, mc::StoreMode mode,
-          std::uint64_t cas_expected) override
+          std::uint64_t cas_expected, std::int64_t exptime,
+          std::uint64_t *cas_out) override
     {
         return inner_.store(tid, key, nkey, val, nbytes, mode,
-                            cas_expected);
+                            cas_expected, exptime, cas_out);
     }
     mc::OpStatus
     del(std::uint32_t tid, const char *key, std::size_t nkey) override

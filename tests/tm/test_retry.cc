@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -136,6 +137,47 @@ TEST_P(RetryTest, BoundedQueueProducerConsumer)
     consumer.join();
     EXPECT_TRUE(ordered);
     EXPECT_EQ(sum, static_cast<std::uint64_t>(total) * (total + 1) / 2);
+}
+
+TEST_P(RetryTest, SerialCommitWakesRetryWaiter)
+{
+    // A serial-irrevocable writer stores raw; its commit must still
+    // move the word a retry waiter sleeps on.
+    static const tm::TxnAttr serial{"retry:serial-writer",
+                                    tm::TxnKind::Relaxed, true};
+    static std::uint64_t flag;
+    static std::uint64_t unrelated;
+    flag = 0;
+    unrelated = 0;
+    std::atomic<int> attempts{0};
+    std::atomic<bool> woke{false};
+
+    std::thread waiter([&] {
+        tm::run(attr, [&](tm::TxDesc &tx) {
+            attempts.fetch_add(1);
+            if (tm::txLoad(tx, &flag) == 0)
+                tm::retry(tx);
+        });
+        woke = true;
+    });
+    while (attempts.load() == 0)
+        std::this_thread::yield();
+    // The waiter read flag == 0 under the serial lock's read side, so
+    // this serial writer commits after that snapshot.
+    tm::run(serial, [&](tm::TxDesc &tx) {
+        tm::txStore<std::uint64_t>(tx, &flag, 1);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!woke.load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(woke.load()) << "serial commit did not wake the waiter";
+    // Unblock a still-sleeping waiter with a speculative commit, so a
+    // lost wake-up fails here instead of hanging the suite.
+    tm::run(attr, [&](tm::TxDesc &tx) {
+        tm::txStore<std::uint64_t>(tx, &unrelated, 1);
+    });
+    waiter.join();
 }
 
 TEST_P(RetryTest, RetryOutsideTransactionIsFatal)
