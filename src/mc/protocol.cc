@@ -67,21 +67,17 @@ storeReply(OpStatus st)
     return "SERVER_ERROR\r\n";
 }
 
-/** Slots in the per-thread CopySpace block. */
-constexpr std::size_t kRetainedCopyKeys = 16;
-
 } // namespace
 
 CopySpace::CopySpace(std::size_t nkeys)
 {
-    if (nkeys > kRetainedCopyKeys) {
+    if (nkeys > 1) {
         own_ = std::make_unique_for_overwrite<char[]>(nkeys * kMaxValueCopy);
         base_ = own_.get();
         return;
     }
     thread_local const std::unique_ptr<char[]> retained =
-        std::make_unique_for_overwrite<char[]>(kRetainedCopyKeys *
-                                               kMaxValueCopy);
+        std::make_unique_for_overwrite<char[]>(kMaxValueCopy);
     base_ = retained.get();
 }
 

@@ -70,13 +70,12 @@ constexpr std::size_t kMaxValueCopy = 65536;
 
 /**
  * Uninitialised space to copy the values of a run of @p nkeys GETs
- * into: slot(i), kMaxValueCopy bytes, is key i's. A run of up to 16
- * keys uses a per-thread block allocated once and reused by every
- * later request on that thread (1 MiB of address space; only the pages
- * values land in become resident). A longer run gets a block of its
+ * into: slot(i), kMaxValueCopy bytes, is key i's. A single-key GET
+ * uses one per-thread slot, allocated once and reused by every later
+ * request on that thread. A run of several keys gets a block of its
  * own, freed with this object. The space is never zero-filled: a GET
  * writes the bytes it reports, and a reply carries only those.
- * Valid until the next CopySpace on the same thread.
+ * Valid until the next single-key CopySpace on the same thread.
  */
 class CopySpace
 {

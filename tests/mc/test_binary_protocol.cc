@@ -230,7 +230,7 @@ TEST_P(BinaryProtocolTest, ReusedCopySpaceLeavesNoStaleBytes)
               hitFrame(BinOp::GetQ, "", big, sb.cas, 4) +
                   hitFrame(BinOp::GetQ, "", "abc", ss.cas, 5));
 
-    // An ASCII multi-get on the same thread shares the copy space.
+    // ASCII get and multi-get on the same thread.
     const std::string big_reply = "VALUE big 0 16000\r\n" + big + "\r\n";
     const std::string small_reply = "VALUE small 0 3\r\nabc\r\n";
     auto ascii = [&](const std::string &req) {
@@ -247,7 +247,7 @@ TEST_P(BinaryProtocolTest, ReusedCopySpaceLeavesNoStaleBytes)
 
 TEST_P(BinaryProtocolTest, LongQuietGetRunAnswersEveryHit)
 {
-    // A run longer than the per-thread copy block gets space of its own.
+    // A long multi-key run gets copy space of its own.
     std::string run;
     std::string expect;
     for (int i = 0; i < 40; ++i) {
