@@ -18,7 +18,6 @@
  *
  * Usage: bench_net [--branch NAME] [--ops N] [--window N]
  *                  [--threads a,b,c] [--shards N] [--ascii]
- *                  [--backend epoll|writev]
  *                  [--timeout-ms N] [--trials K] [--json OUT]
  *                  [--tail] [--tail-json OUT] [--connect PORT]
  *
@@ -26,13 +25,6 @@
  * bench "bench_net_inproc" for the in-process drive and
  * "bench_net_loopback" for the served one, so the perf gate can watch
  * the network stack's cost separately from the cache's.
- *
- * --backend selects the server's I/O backend (net/server.h). With
- * writev the loopback row's branch is suffixed "+writev"
- * ("IP-onCommit+writev") so the gate tracks each write path as its
- * own row, and the in-process row is not emitted (it would duplicate
- * the epoll run's). Pair with --ascii to exercise the zero-copy
- * pinned-GET path, which serves ASCII get/gets.
  *
  * --tail arms the per-request tail tracer (obs/tail.h) for every
  * loopback leg, suffixes the loopback row's branch with "+tail" (an
@@ -109,12 +101,11 @@ main(int argc, char **argv)
     // Best-of-K: fixed work, so background load only adds time; the
     // minimum is the noise-robust estimate the perf gate wants.
     std::uint32_t trials = 1;
-    net::IoBackend backend = net::IoBackend::Epoll;
     auto usage = [&] {
         std::fprintf(stderr,
                      "usage: %s [--branch NAME] [--ops N] "
                      "[--window N] [--threads a,b,c] [--shards N] "
-                     "[--ascii] [--backend epoll|writev] "
+                     "[--ascii] "
                      "[--timeout-ms N] [--trials K] "
                      "[--json OUT] [--tail] [--tail-json OUT] "
                      "[--connect PORT]\n",
@@ -153,14 +144,7 @@ main(int argc, char **argv)
                 static_cast<std::uint16_t>(std::atoi(next()));
         else if (a == "--trials")
             trials = static_cast<std::uint32_t>(std::atoi(next()));
-        else if (a == "--backend") {
-            const std::string v = next();
-            if (!net::parseIoBackend(v, backend)) {
-                std::fprintf(stderr, "unknown --backend '%s'\n",
-                             v.c_str());
-                return usage();
-            }
-        } else
+        else
             return usage();
     }
     if (trials == 0)
@@ -204,11 +188,10 @@ main(int argc, char **argv)
     }
 
     std::printf("bench_net: branch=%s protocol=%s ops/thread=%llu "
-                "window=%llu shards=%u backend=%s\n",
+                "window=%llu shards=%u\n",
                 branch.c_str(), binary ? "binary" : "ascii",
                 static_cast<unsigned long long>(ops),
-                static_cast<unsigned long long>(window), shards,
-                net::ioBackendName(backend));
+                static_cast<unsigned long long>(window), shards);
     std::printf("%8s %16s %16s %8s %6s\n", "threads", "inproc ops/s",
                 "loopback ops/s", "net/ip", "lost");
 
@@ -290,20 +273,14 @@ main(int argc, char **argv)
             net::ServerCfg scfg;
             scfg.port = 0;
             scfg.workers = n;
-            scfg.ioBackend = backend;
             net::Server server(*cache, scfg);
             if (!server.start()) {
                 std::fprintf(stderr, "server start failed\n");
                 return 1;
             }
-            // Label the loopback row with its write path: the gate
-            // must not compare rows across write paths. The
-            // armed-tracer row likewise gets its own name so the gate
-            // never compares armed cost against the disarmed baseline.
+            // The armed-tracer row gets its own name so the gate never
+            // compares armed cost against the disarmed baseline.
             netRow.branch = branch;
-            if (backend != net::IoBackend::Epoll)
-                netRow.branch +=
-                    std::string("+") + net::ioBackendName(backend);
             if (tail_mode)
                 netRow.branch += "+tail";
             if (tail_mode) {
@@ -386,11 +363,11 @@ main(int argc, char **argv)
             }
         }
         if (!json_path.empty()) {
-            // The in-process drive never touches the I/O backend (or
-            // the conn layer the tail tracer lives in), so a
-            // non-epoll or --tail run would just duplicate the plain
-            // epoll run's inproc row; emit it once, from that run.
-            if (backend == net::IoBackend::Epoll && !tail_mode)
+            // The in-process drive never touches the conn layer the
+            // tail tracer lives in, so a --tail run would just
+            // duplicate the plain run's inproc row; emit it once,
+            // from that run.
+            if (!tail_mode)
                 bench::addBenchRow(inprocRow);
             bench::addBenchRow(netRow);
         }

@@ -25,20 +25,15 @@ if [[ ${1:-} == --rebaseline ]]; then
         --json results/gate_fig4.json
     "$BENCH_DIR/bench_net" --ops 3000 --trials 3 --threads 1,4 \
         --json results/gate_net.json
-    # The I/O-backend comparison pair and the invisible-reader rows
-    # gate too.
+    # The IP-onCommit ASCII rows and the invisible-reader rows gate
+    # too.
     "$BENCH_DIR/bench_net" --branch IP-onCommit --ascii --ops 3000 \
-        --trials 3 --threads 1,4 --backend epoll \
-        --json results/gate_zc_epoll.json
-    "$BENCH_DIR/bench_net" --branch IP-onCommit --ascii --ops 3000 \
-        --trials 3 --threads 1,4 --backend writev \
-        --json results/gate_zc_writev.json
+        --trials 3 --threads 1,4 --json results/gate_net_ascii.json
     "$BENCH_DIR/bench_ro_tx" --trials 3 --threads 1,4 \
         --json results/gate_ro_tx.json
     python3 scripts/perf_gate.py rebaseline --out results/baseline.json \
         results/gate_fig4.json results/gate_net.json \
-        results/gate_zc_epoll.json results/gate_zc_writev.json \
-        results/gate_ro_tx.json
+        results/gate_net_ascii.json results/gate_ro_tx.json
     exit 0
 fi
 
@@ -91,15 +86,11 @@ run_bench bench_net_sharded 1200 \
     "$BENCH_DIR/bench_net" --ops 5000 --shards 16 \
     --json results/bench_net_sharded.json
 
-# The I/O-backend comparison (same branch and mix; only the serving
-# backend varies) and the invisible-reader read-only-transaction
-# ablation.
-run_bench bench_net_zc_epoll 1200 \
+# The text-protocol serving path on a GET-heavy mix and the
+# invisible-reader read-only-transaction ablation.
+run_bench bench_net_ascii 1200 \
     "$BENCH_DIR/bench_net" --branch IP-onCommit --ascii --ops 5000 \
-    --backend epoll --json results/bench_net_zc_epoll.json
-run_bench bench_net_zc_writev 1200 \
-    "$BENCH_DIR/bench_net" --branch IP-onCommit --ascii --ops 5000 \
-    --backend writev --json results/bench_net_zc_writev.json
+    --json results/bench_net_ascii.json
 run_bench bench_ro_tx 1200 \
     "$BENCH_DIR/bench_ro_tx" --ops "$OPS" --trials "$TRIALS" \
     --threads 1,4,8 --json results/bench_ro_tx.json

@@ -95,46 +95,6 @@ class CacheAdapter final : public CacheIface
         return {r.status, r.vlen, r.casId};
     }
 
-    bool
-    pinnedGetSupported() const override
-    {
-        return CacheCore<P>::pinnedGetSupported();
-    }
-
-    PinnedValue
-    getPinned(std::uint32_t tid, const char *key,
-              std::size_t nkey) override
-    {
-        if constexpr (CacheCore<P>::pinnedGetSupported()) {
-            const auto r = core_.getPinned(tid, key, nkey);
-            PinnedValue v;
-            v.status = r.status;
-            v.data = r.data;
-            v.vlen = r.vlen;
-            v.casId = r.casId;
-            v.tid = tid;
-            v.handle = r.it;
-            v.owner = r.it != nullptr ? this : nullptr;
-            return v;
-        } else {
-            (void)tid;
-            (void)key;
-            (void)nkey;
-            return {};
-        }
-    }
-
-    void
-    releasePinned(std::uint32_t tid, void *handle) override
-    {
-        if constexpr (CacheCore<P>::pinnedGetSupported()) {
-            core_.releasePinned(tid, static_cast<Item *>(handle));
-        } else {
-            (void)tid;
-            (void)handle;
-        }
-    }
-
     OpStatus
     store(std::uint32_t tid, const char *key, std::size_t nkey,
           const char *val, std::size_t nbytes, StoreMode mode,

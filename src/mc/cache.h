@@ -257,135 +257,6 @@ class CacheCore
         return res;
     }
 
-    // ------------------------------------------------------------------
-    // Zero-copy (pinned) GET
-    // ------------------------------------------------------------------
-
-    /**
-     * True if this branch can hand out pinned value pointers. The
-     * value bytes of a pinned item are read by the network layer
-     * *outside* any critical section (scatter-gather into writev), so:
-     *  - TxSection (IT) branches are excluded: item bytes are written
-     *    transactionally there, and under the eager algorithm a
-     *    speculative store is visible in place before commit — letting
-     *    the kernel read the chunk would leak uncommitted bytes.
-     *  - The fused-get branch is excluded: it has no reference counts,
-     *    and the refcount is the only thing keeping a pinned chunk
-     *    alive across the I/O window.
-     * For the remaining branches the exposure is exactly memcached
-     * 1.4.15's: in-place incr/decr/append may race the kernel's read
-     * of the bytes (a torn value, never a fault — in-place mutation
-     * stays within the chunk's capacity).
-     */
-    static constexpr bool
-    pinnedGetSupported()
-    {
-        return cfg.items != ItemStrategy::TxSection && !cfg.fusedGet;
-    }
-
-    /** A hit whose value bytes stay in the slab, kept alive by the
-     *  reference taken in phase 1. Pair with releasePinned(). */
-    struct PinnedGet
-    {
-        OpStatus status = OpStatus::Miss;
-        Item *it = nullptr;
-        const char *data = nullptr;
-        std::size_t vlen = 0;
-        std::uint64_t casId = 0;
-    };
-
-    /**
-     * GET without the copy: phase 1 of get() (find + refcount +
-     * LRU bump), returning a pointer to the value bytes in the slab
-     * chunk instead of copying them out. The caller owns one reference
-     * and must call releasePinned() exactly once — that is get()'s
-     * phase 3, deferred across the I/O window. Eviction, deletion and
-     * flush_all already skip or defer referenced items, so the chunk
-     * cannot be reused while pinned.
-     */
-    PinnedGet
-    getPinned(std::uint32_t tid, const char *key, std::size_t nkey)
-    {
-        static_assert(pinnedGetSupported(),
-                      "pinned gets are not safe for this branch");
-        tm::DomainScope ds(&domain_);
-        tickAdvance();
-        const std::uint32_t hv = hashKey(key, nkey);
-        bumpThreadStat(tid, &ThreadStatsBlock::cmdGet);
-
-        struct Found
-        {
-            Item *it = nullptr;
-            std::uint32_t nbytes = 0;
-            std::uint64_t cas = 0;
-            std::uint16_t nkey = 0;
-            bool expired = false;
-        };
-        const Found f = policy_.cacheSection(sites::getFind,
-                                             [&](auto &c) -> Found {
-            Found r;
-            Item *it = assocFind(c, assoc_, key, nkey, hv);
-            if (it == nullptr)
-                return r;
-            const std::uint64_t now = c.volatileLoad(&currentTime_);
-            const std::int64_t expt = c.load(&it->exptime);
-            if (expt != 0 && static_cast<std::uint64_t>(expt) < now) {
-                if (c.refRead(&it->refcount) == 0) {
-                    r.nbytes = c.load(&it->nbytes);
-                    unlinkAndFree(c, it, hv);
-                    r.expired = true;
-                    return r;
-                }
-            }
-            c.refIncr(&it->refcount);
-            const std::uint32_t cls = c.load(&it->clsid);
-            if (now - c.load(&it->lastBump) >= cfg_.lruBumpInterval) {
-                lruBump(c, lru_, it, cls);
-                c.store(&it->lastBump, now);
-            }
-            c.logEvent(cfg_.verbose >= 2, "> GET(pinned)");
-            r.it = it;
-            r.nbytes = c.load(&it->nbytes);
-            r.cas = c.load(&it->casId);
-            r.nkey = c.load(&it->nkey);
-            return r;
-        });
-
-        PinnedGet res;
-        if (f.expired) {
-            statsExpired(tid, f.nbytes);
-            bumpThreadStat(tid, &ThreadStatsBlock::getMisses);
-            return res;
-        }
-        if (f.it == nullptr) {
-            bumpThreadStat(tid, &ThreadStatsBlock::getMisses);
-            return res;
-        }
-        bumpThreadStat(tid, &ThreadStatsBlock::getHits);
-        bumpThreadStat(tid, &ThreadStatsBlock::bytesWritten, f.nbytes);
-        res.status = OpStatus::Ok;
-        res.it = f.it;
-        res.data = itemValuePtr(f.it, f.nkey);
-        res.vlen = f.nbytes;
-        res.casId = f.cas;
-        return res;
-    }
-
-    /** Drop the reference taken by getPinned(): get()'s phase 3. */
-    void
-    releasePinned(std::uint32_t tid, Item *it)
-    {
-        (void)tid;
-        tm::DomainScope ds(&domain_);
-        policy_.cacheSection(sites::release, [&](auto &c) {
-            const std::uint64_t rc = c.refDecr(&it->refcount);
-            c.assertThat(rc != ~std::uint64_t{0}, "refcount underflow");
-            if (rc == 0 && (c.load(&it->itFlags) & kItemLinked) == 0) {
-                freeItem(c, it);
-            }
-        });
-    }
-
     /**
      * SET/ADD/REPLACE/CAS. The item is linked with expiry @p exptime
      * (0 = never), and on Ok its new CAS id — assigned inside the link

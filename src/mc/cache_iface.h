@@ -66,62 +66,6 @@ class CacheIface
                                  reqs[i].out, reqs[i].outCap);
         }
     }
-    /**
-     * A zero-copy GET hit: the value bytes stay in the slab chunk,
-     * kept alive by the item reference taken at lookup. On a hit the
-     * caller must call release() exactly once, after the bytes have
-     * been handed to the kernel (or abandoned). Misses carry no
-     * reference; release() on them is a no-op.
-     */
-    struct PinnedValue
-    {
-        OpStatus status = OpStatus::Miss;
-        const char *data = nullptr;
-        std::size_t vlen = 0;
-        std::uint64_t casId = 0;
-        std::uint32_t tid = 0;
-        void *handle = nullptr;       //!< Branch-internal item pointer.
-        CacheIface *owner = nullptr;  //!< Cache to release against.
-
-        void
-        release()
-        {
-            if (owner != nullptr && handle != nullptr)
-                owner->releasePinned(tid, handle);
-            owner = nullptr;
-            handle = nullptr;
-        }
-    };
-
-    /**
-     * True if this branch can serve zero-copy gets. False for the
-     * TxSection (IT) branches — their item bytes are written
-     * transactionally and must not be exposed to the kernel — and for
-     * the fused-get branch, which has no reference counts.
-     */
-    virtual bool pinnedGetSupported() const { return false; }
-
-    /**
-     * GET without the value copy: a hit pins the item via its refcount
-     * and returns a pointer into the slab. Default (branches without
-     * support): always a miss-shaped result with status Miss.
-     */
-    virtual PinnedValue
-    getPinned(std::uint32_t tid, const char *key, std::size_t nkey)
-    {
-        (void)tid;
-        (void)key;
-        (void)nkey;
-        return {};
-    }
-
-    /** Drop a pinned reference (called via PinnedValue::release). */
-    virtual void
-    releasePinned(std::uint32_t tid, void *handle)
-    {
-        (void)tid;
-        (void)handle;
-    }
 
     /**
      * SET/ADD/REPLACE/CAS with expiry @p exptime (0 = never). On Ok the

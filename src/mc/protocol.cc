@@ -335,46 +335,4 @@ protocolExecute(CacheIface &cache, std::uint32_t worker,
     return "ERROR\r\n";
 }
 
-bool
-protocolExecutePinned(CacheIface &cache, std::uint32_t worker,
-                      const std::string &request, Reply &out)
-{
-    // Commit to the pinned path only after the command is known to be
-    // a retrieval AND the branch can pin: a false return must leave
-    // @p out untouched so the caller's fallback builds a clean reply.
-    std::vector<std::string> tok;
-    tokenizeLine(request, tok);
-    if (tok.size() < 2 || (tok[0] != "get" && tok[0] != "gets"))
-        return false;
-    if (!cache.pinnedGetSupported())
-        return false;
-
-    const bool with_cas = tok[0] == "gets";
-    for (std::size_t i = 1; i < tok.size(); ++i) {
-        CacheIface::PinnedValue v =
-            cache.getPinned(worker, tok[i].data(), tok[i].size());
-        if (v.status != OpStatus::Ok) {
-            v.release();  // Defensive; misses carry no reference.
-            continue;
-        }
-        char header[256];
-        int n;
-        if (with_cas) {
-            n = std::snprintf(header, sizeof(header),
-                              "VALUE %s 0 %zu %llu\r\n", tok[i].c_str(),
-                              v.vlen,
-                              static_cast<unsigned long long>(v.casId));
-        } else {
-            n = std::snprintf(header, sizeof(header),
-                              "VALUE %s 0 %zu\r\n", tok[i].c_str(),
-                              v.vlen);
-        }
-        out.append(header, static_cast<std::size_t>(n));
-        out.appendPinned(v);  // Reply now owns the item reference.
-        out.append("\r\n", 2);
-    }
-    out.append("END\r\n", 5);
-    return true;
-}
-
 } // namespace tmemc::mc

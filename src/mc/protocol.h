@@ -27,7 +27,6 @@
 #include <string>
 
 #include "mc/cache_iface.h"
-#include "mc/reply.h"
 
 namespace tmemc::mc
 {
@@ -40,26 +39,6 @@ namespace tmemc::mc
  */
 std::string protocolExecute(CacheIface &cache, std::uint32_t worker,
                             const std::string &request);
-
-/**
- * Zero-copy variant for the retrieval commands: serve `get`/`gets`
- * into @p out with each hit's value bytes as a pinned slab span
- * (CacheIface::getPinned) instead of copying them through a private
- * buffer. Headers, CRLFs and the END line are owned segments.
- *
- * @return true if the request was a retrieval command and @p out now
- *         holds the complete reply; false (with @p out untouched)
- *         when the command is not get/gets or the cache branch cannot
- *         pin (pinnedGetSupported() == false) — the caller falls back
- *         to protocolExecute.
- *
- * Note the grouping trade-off: hits pin per key, so a multi-key get
- * against a sharded cache visits shards per key rather than batching
- * like protocolExecute's getMulti. The 9:1 workloads this path is for
- * are single-key gets, where no batch exists to lose.
- */
-bool protocolExecutePinned(CacheIface &cache, std::uint32_t worker,
-                           const std::string &request, Reply &out);
 
 // ----------------------------------------------------------------------
 // Value copy space

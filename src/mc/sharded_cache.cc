@@ -110,22 +110,6 @@ class ShardedCache final : public CacheIface
         }
     }
 
-    bool
-    pinnedGetSupported() const override
-    {
-        return shards_[0]->pinnedGetSupported();
-    }
-
-    PinnedValue
-    getPinned(std::uint32_t tid, const char *key,
-              std::size_t nkey) override
-    {
-        // The owning shard stamps itself into PinnedValue::owner, so
-        // release() goes straight there — no routing override needed.
-        OpTimer timer;
-        return route(key, nkey).getPinned(tid, key, nkey);
-    }
-
     OpStatus
     store(std::uint32_t tid, const char *key, std::size_t nkey,
           const char *val, std::size_t nbytes, StoreMode mode,

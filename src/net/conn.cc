@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include "mc/binary_protocol.h"
@@ -18,9 +17,8 @@
 namespace tmemc::net
 {
 
-Conn::Conn(int fd, std::uint64_t id, const ConnLimits &limits,
-           bool gather_writes)
-    : fd_(fd), id_(id), limits_(limits), gather_(gather_writes),
+Conn::Conn(int fd, std::uint64_t id, const ConnLimits &limits)
+    : fd_(fd), id_(id), limits_(limits),
       lastActivity_(std::chrono::steady_clock::now())
 {
 }
@@ -30,12 +28,6 @@ Conn::~Conn()
     // A connection dying with replies queued still finalizes its
     // traced requests: the flush span ends where the socket did.
     finishTailPending(true);
-    // Segment destructors release any still-queued pins before the
-    // socket goes; order does not matter, but the release must happen
-    // on whatever thread destroys the Conn (loop thread normally,
-    // EventLoop::stop()'s caller during teardown) — releasePinned
-    // runs its own transaction and any registered thread may.
-    outq_.clear();
     if (fd_ >= 0)
         ::close(fd_);
 }
@@ -147,7 +139,7 @@ Conn::finishTailPending(bool force)
 {
     if (tailPending_.empty())
         return;
-    if (!force && pending_ != 0)
+    if (!force && wantsWrite())
         return;  // Replies still queued: the flush wait continues.
     const std::uint64_t now = obs::nowNanos();
     for (obs::tail::PendingTrace &p : tailPending_)
@@ -192,33 +184,6 @@ Conn::discardInput()
     }
 }
 
-void
-Conn::queueOwned(const char *data, std::size_t n)
-{
-    if (n == 0)
-        return;
-    // Coalesce into the trailing owned segment (appending is safe
-    // even when the segment is partially written — off indexes into
-    // the string, which only grows).
-    if (outq_.empty() || outq_.back().pinned())
-        outq_.emplace_back();
-    outq_.back().owned.append(data, n);
-    pending_ += n;
-}
-
-void
-Conn::enqueue(mc::Reply &&reply)
-{
-    for (mc::Reply::Seg &seg : reply.takeSegments()) {
-        if (!seg.pinned()) {
-            queueOwned(seg.owned.data(), seg.owned.size());
-            continue;
-        }
-        pending_ += seg.size();
-        outq_.push_back(std::move(seg));
-    }
-}
-
 bool
 Conn::drainFrames(std::uint32_t worker, const ExecFn &exec)
 {
@@ -232,20 +197,18 @@ Conn::drainFrames(std::uint32_t worker, const ExecFn &exec)
     std::uint64_t quietFrames = 0;
     std::uint64_t quietT0 = 0;
     // Per-command latency: framed request handed to exec() until its
-    // reply segments are queued. A batched quiet-get run counts as one
-    // command — that is the unit of work the executor sees. The same
-    // unit is one tail-tracer request: the trace opens with a parse
-    // span back-dated to @p parse_t0 (the stamp taken before framing)
-    // and stays pending until the reply's last byte leaves the
-    // out-queue (finishTailPending closes the flush span).
+    // reply is in the write buffer. A batched quiet-get run counts as
+    // one command — that is the unit of work the executor sees. The
+    // same unit is one tail-tracer request: the trace opens with a
+    // parse span back-dated to @p parse_t0 (the stamp taken before
+    // framing) and stays pending until the reply's last byte leaves
+    // the write buffer (finishTailPending closes the flush span).
     auto timedExec = [&](bool binary, const std::string &frame,
                          std::uint64_t parse_t0) {
         const std::uint64_t t0 = obs::nowNanos();
         const std::uint64_t rid = obs::tail::beginRequest(
             worker, binary, parse_t0 != 0 ? parse_t0 : t0);
-        mc::Reply reply;
-        exec(worker, binary, frame, reply);
-        enqueue(std::move(reply));
+        exec(worker, binary, frame, wbuf_);
         obs::hist(obs::HistKind::Command).record(obs::nowNanos() - t0);
         if (rid != 0) {
             if (obs::tail::PendingTrace p = obs::tail::endRequest())
@@ -288,8 +251,7 @@ Conn::drainFrames(std::uint32_t worker, const ExecFn &exec)
             // binary stream cannot be re-synchronized, so it just
             // closes.
             if (!binary && fr.error != nullptr)
-                queueOwned(fr.error, std::char_traits<char>::length(
-                                         fr.error));
+                wbuf_.append(fr.error);
             ok = false;
             break;
         }
@@ -326,66 +288,40 @@ Conn::drainFrames(std::uint32_t worker, const ExecFn &exec)
     return ok;
 }
 
-void
-Conn::consumeOut(std::size_t n)
-{
-    while (n > 0 && !outq_.empty()) {
-        mc::Reply::Seg &front = outq_.front();
-        const std::size_t rem = front.size() - front.off;
-        const std::size_t take = rem < n ? rem : n;
-        front.off += take;
-        pending_ -= take;
-        n -= take;
-        if (front.off == front.size())
-            outq_.pop_front();  // Seg destructor releases its pin.
-    }
-}
-
 bool
 Conn::flush()
 {
-    while (!outq_.empty()) {
-        // Retire already-empty segments (zero-length values) so the
-        // syscall below always has bytes to move.
-        while (!outq_.empty() &&
-               outq_.front().off == outq_.front().size())
-            outq_.pop_front();
-        if (outq_.empty())
-            break;
-
-        ssize_t n;
-        if (gather_) {
-            // One gather write over the whole queue: reply headers
-            // from owned segments, values straight from the slab.
-            struct iovec iov[sys::kMaxWriteIov];
-            int cnt = 0;
-            for (const mc::Reply::Seg &seg : outq_) {
-                if (cnt == sys::kMaxWriteIov)
-                    break;
-                iov[cnt].iov_base = const_cast<char *>(seg.data()) +
-                                    seg.off;
-                iov[cnt].iov_len = seg.size() - seg.off;
-                ++cnt;
-            }
-            n = sys::writevFd(fd_, iov, cnt);
-        } else {
-            const mc::Reply::Seg &front = outq_.front();
-            n = sys::writeFd(fd_, front.data() + front.off,
-                             front.size() - front.off);
-        }
+    while (woff_ < wbuf_.size()) {
+        const ssize_t n =
+            sys::writeFd(fd_, wbuf_.data() + woff_, wbuf_.size() - woff_);
         if (n > 0) {
-            consumeOut(static_cast<std::size_t>(n));
+            woff_ += static_cast<std::size_t>(n);
             continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return true;  // Event loop will re-arm EPOLLOUT.
         if (n < 0 && errno == EINTR)
             continue;
-        if (n == 0)
-            return true;  // Nothing accepted; wait for EPOLLOUT.
-        closeReason_ = CloseReason::Peer;
-        return false;  // EPIPE etc.: peer is gone.
+        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+            closeReason_ = CloseReason::Peer;
+            return false;  // EPIPE etc.: peer is gone.
+        }
+        // EAGAIN, or nothing accepted: the event loop re-arms
+        // EPOLLOUT. Once the sent prefix outweighs what is still
+        // owed, drop it, so a client that keeps pipelining while it
+        // reads slowly cannot grow the buffer without bound.
+        if (woff_ >= wbuf_.size() - woff_) {
+            wbuf_.erase(0, woff_);
+            woff_ = 0;
+        }
+        return true;
     }
+    // Everything is out. A buffer a reply burst inflated past the
+    // soft cap is given back rather than kept for the connection's
+    // lifetime (memcached's conn_shrink).
+    if (wbuf_.capacity() > limits_.wbufSoftCap)
+        std::string().swap(wbuf_);
+    else
+        wbuf_.clear();
+    woff_ = 0;
     return true;
 }
 

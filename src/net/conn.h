@@ -1,25 +1,20 @@
 /**
  * @file
- * One TCP connection: nonblocking fd, incremental read buffer, a
- * segmented reply queue, and streaming protocol framing.
+ * One TCP connection: nonblocking fd, incremental read buffer, one
+ * reply buffer, and streaming protocol framing.
  *
  * memcached's conn state machine (conn_read -> conn_parse_cmd ->
  * conn_nread -> conn_write) collapses here into two reactive entry
  * points driven by the owning event loop: onReadable() drains the
  * socket, carves complete requests out of the read buffer with the
  * mc framing hooks (protocolTryFrame / binaryTryFrame), executes
- * them, and queues replies; onWritable() flushes the reply queue.
+ * them, and appends their replies to the write buffer; onWritable()
+ * flushes it.
  *
- * Replies are mc::Reply segment lists. On the seed epoll backend the
- * executor only produces owned segments, consecutive owned segments
- * coalesce, and the flush is the classic copy-and-write(2) loop. On
- * the writev (gather) backend a GET hit's value rides as
- * a *pinned* segment — a pointer into the slab chunk held live by the
- * item refcount — and flush() hands header + value + CRLF to one
- * writev(2), so the value bytes are never copied into a reply buffer.
- * A pinned segment releases its reference the moment its last byte is
- * accepted by the kernel, or when the connection dies with the
- * segment still queued.
+ * The executor appends each reply straight onto the write buffer, and
+ * flush() hands the unwritten tail to write(2) until the kernel stops
+ * taking bytes. A flushed-offset index marks how much has left; once
+ * everything has, the buffer is reset.
  *
  * Protocol selection follows memcached's sniffing rule: a frame whose
  * first byte is the binary request magic (0x80) is binary, anything
@@ -28,10 +23,9 @@
  *
  * Overload behaviour is bounded on both sides (ConnLimits):
  *  - the read buffer caps unframeable input (slowloris guard);
- *  - pendingWrite() — which counts owned AND pinned bytes, so the
- *    zero-copy path cannot dodge the caps — has a soft cap (stop
- *    polling EPOLLIN; TCP backpressure reaches the slow reader) and
- *    a hard cap (close: a reply burst no sane client leaves unread);
+ *  - pendingWrite() has a soft cap (stop polling EPOLLIN; TCP
+ *    backpressure reaches the slow reader) and a hard cap (close: a
+ *    reply burst no sane client leaves unread);
  *  - lastActivity() feeds the loop's idle reaper.
  *
  * Parsing and reply formatting happen entirely on these private
@@ -45,13 +39,11 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "mc/protocol.h"
-#include "mc/reply.h"
 #include "obs/tail.h"
 
 namespace tmemc::net
@@ -59,12 +51,12 @@ namespace tmemc::net
 
 /**
  * Execute one complete request frame on worker thread @p worker,
- * appending the wire reply to @p out (owned and/or pinned segments).
+ * appending the wire reply to @p out (the connection's write buffer).
  * @p binary distinguishes the two protocols.
  */
 using ExecFn =
     std::function<void(std::uint32_t worker, bool binary,
-                       const std::string &frame, mc::Reply &out)>;
+                       const std::string &frame, std::string &out)>;
 
 /** Per-connection byte budgets (shared, immutable per server). */
 struct ConnLimits
@@ -90,14 +82,8 @@ enum class CloseReason : std::uint8_t
 class Conn
 {
   public:
-    /**
-     * Takes ownership of @p fd (closed on destruction).
-     * @param gather_writes  Flush via writev over the whole segment
-     *        queue (the zero-copy backends); false uses the seed
-     *        one-segment-at-a-time write(2) loop.
-     */
-    Conn(int fd, std::uint64_t id, const ConnLimits &limits,
-         bool gather_writes);
+    /** Takes ownership of @p fd (closed on destruction). */
+    Conn(int fd, std::uint64_t id, const ConnLimits &limits);
     ~Conn();
 
     Conn(const Conn &) = delete;
@@ -131,16 +117,15 @@ class Conn
      */
     bool flushOnly();
 
-    /** True while the reply queue holds unsent segments. */
-    bool wantsWrite() const { return !outq_.empty(); }
+    /** True while the write buffer holds unsent bytes. */
+    bool wantsWrite() const { return woff_ < wbuf_.size(); }
 
     /** False while pending replies exceed the soft cap: the loop
      *  must stop polling EPOLLIN until the client drains us. */
     bool wantsRead() const { return pendingWrite() < limits_.wbufSoftCap; }
 
-    /** Unflushed reply bytes — owned and pinned alike, so the
-     *  zero-copy path is subject to the same caps as the copy path. */
-    std::size_t pendingWrite() const { return pending_; }
+    /** Unflushed reply bytes. */
+    std::size_t pendingWrite() const { return wbuf_.size() - woff_; }
 
     /** Why the last onReadable/onWritable returned false. */
     CloseReason closeReason() const { return closeReason_; }
@@ -165,20 +150,9 @@ class Conn
     /** Execute buffered complete frames; false on fatal frame error. */
     bool drainFrames(std::uint32_t worker, const ExecFn &exec);
 
-    /** Flush the segment queue until EAGAIN or empty.
+    /** Write the buffered replies until EAGAIN or empty.
      *  @return false on socket error. */
     bool flush();
-
-    /** Move a reply's segments onto the out-queue (coalescing owned
-     *  runs) and account their bytes. */
-    void enqueue(mc::Reply &&reply);
-
-    /** Queue owned bytes (error lines and the like). */
-    void queueOwned(const char *data, std::size_t n);
-
-    /** Retire @p n written bytes off the queue front, releasing pins
-     *  whose segments completed. */
-    void consumeOut(std::size_t n);
 
     /**
      * Once the goodbye reply is flushed, half-close the socket
@@ -193,7 +167,7 @@ class Conn
 
     /**
      * Close the flush span of every traced request whose reply has
-     * fully left the out-queue and offer the traces to the tail
+     * fully left the write buffer and offer the traces to the tail
      * reservoir. Called after every flush; a partial flush leaves the
      * traces pending so EPOLLOUT wait time lands in the flush span.
      * @p force finalizes regardless (connection teardown).
@@ -203,14 +177,10 @@ class Conn
     int fd_;
     std::uint64_t id_;
     const ConnLimits &limits_;
-    bool gather_;
     std::string rbuf_;
-    /** Reply queue; front segment may be partially written (its off).
-     *  Segment destructors release pins, so clearing the queue — or
-     *  destroying the Conn with replies still queued — cannot leak an
-     *  item reference. */
-    std::deque<mc::Reply::Seg> outq_;
-    std::size_t pending_ = 0;  //!< Unwritten bytes across outq_.
+    /** Replies not yet written; bytes before woff_ have been sent. */
+    std::string wbuf_;
+    std::size_t woff_ = 0;
     /** Traced requests (tail tracer armed) whose replies are still
      *  flushing; empty whenever the tracer is disarmed. */
     std::vector<obs::tail::PendingTrace> tailPending_;

@@ -35,11 +35,9 @@ epollAdd(int epfd, int fd)
 } // namespace
 
 EventLoop::EventLoop(std::uint32_t worker_id, ExecFn exec, ConnLimits limits,
-                     std::uint32_t idle_timeout_ms, NetCounters &counters,
-                     bool gather_writes)
+                     std::uint32_t idle_timeout_ms, NetCounters &counters)
     : worker_(worker_id), exec_(std::move(exec)), limits_(limits),
-      idleTimeoutMs_(idle_timeout_ms), counters_(counters),
-      gather_(gather_writes)
+      idleTimeoutMs_(idle_timeout_ms), counters_(counters)
 {
 }
 
@@ -131,7 +129,7 @@ EventLoop::adoptPending()
             continue;
         }
         conns_.emplace(fd, std::make_unique<Conn>(fd, nextConnId_++,
-                                                  limits_, gather_));
+                                                  limits_));
         open_.fetch_add(1, std::memory_order_relaxed);
         counters_.currConnections.fetch_add(1, std::memory_order_relaxed);
     }

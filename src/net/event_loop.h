@@ -82,13 +82,9 @@ class EventLoop
      * @param idle_timeout_ms  Reap connections idle this long
      *                         (0: never).
      * @param counters   Server-wide resilience counters.
-     * @param gather_writes  Connections flush with one writev over
-     *                       their segment list (the zero-copy path)
-     *                       instead of copy-and-write.
      */
     EventLoop(std::uint32_t worker_id, ExecFn exec, ConnLimits limits,
-              std::uint32_t idle_timeout_ms, NetCounters &counters,
-              bool gather_writes);
+              std::uint32_t idle_timeout_ms, NetCounters &counters);
     ~EventLoop();
 
     EventLoop(const EventLoop &) = delete;
@@ -146,7 +142,6 @@ class EventLoop
     ConnLimits limits_;
     std::uint32_t idleTimeoutMs_;
     NetCounters &counters_;
-    bool gather_;
     int epfd_ = -1;
     int wakefd_ = -1;
     std::thread thread_;

@@ -26,24 +26,6 @@
 namespace tmemc::net
 {
 
-const char *
-ioBackendName(IoBackend b)
-{
-    return b == IoBackend::Writev ? "writev" : "epoll";
-}
-
-bool
-parseIoBackend(const std::string &s, IoBackend &out)
-{
-    if (s == "epoll")
-        out = IoBackend::Epoll;
-    else if (s == "writev")
-        out = IoBackend::Writev;
-    else
-        return false;
-    return true;
-}
-
 namespace
 {
 
@@ -156,16 +138,8 @@ Server::start()
     }
     port_ = ntohs(bound.sin_port);
 
-    // The pinned (zero-copy) GET path needs both halves: a gather
-    // backend, so value segments reach writev un-copied, and a branch
-    // whose items can be pinned (refcounts + non-transactional value
-    // bytes — pinnedGetSupported()). Everything else — stores, binary
-    // protocol, unsupported branches — takes the legacy string path.
-    const bool gather = cfg_.ioBackend == IoBackend::Writev;
-    const bool allow_pinned = gather && cache_.pinnedGetSupported();
-    ExecFn exec = [this, allow_pinned](std::uint32_t worker, bool binary,
-                                       const std::string &frame,
-                                       mc::Reply &out) {
+    ExecFn exec = [this](std::uint32_t worker, bool binary,
+                         const std::string &frame, std::string &out) {
         if (!binary && frameIsMetrics(frame)) {
             // Admin command: the whole metrics snapshot as one JSON
             // line. Served here, not in protocol.cc, so it exists
@@ -181,9 +155,6 @@ Server::start()
             out.append(obs::tail::tailToJson() + "\r\nEND\r\n");
             return;
         }
-        if (allow_pinned && !binary &&
-            mc::protocolExecutePinned(cache_, worker, frame, out))
-            return;
         std::string reply =
             binary ? mc::binaryExecute(cache_, worker, frame)
                    : mc::protocolExecute(cache_, worker, frame);
@@ -195,11 +166,11 @@ Server::start()
             // cache's trailing END so clients see one stats block.
             reply.insert(reply.size() - 5, statsLines());
         }
-        out.append(std::move(reply));
+        out.append(reply);
     };
     for (std::uint32_t w = 0; w < cfg_.workers; ++w) {
         loops_.push_back(std::make_unique<EventLoop>(
-            w, exec, cfg_.limits, cfg_.idleTimeoutMs, counters_, gather));
+            w, exec, cfg_.limits, cfg_.idleTimeoutMs, counters_));
         if (!loops_.back()->start()) {
             stop();
             return false;
@@ -326,7 +297,6 @@ Server::statsLines() const
     char buf[512];
     const int n = std::snprintf(
         buf, sizeof(buf),
-        "STAT io_backend %s\r\n"
         "STAT curr_connections %llu\r\n"
         "STAT total_connections %llu\r\n"
         "STAT rejected_connections %llu\r\n"
@@ -334,7 +304,6 @@ Server::statsLines() const
         "STAT backpressure_closes %llu\r\n"
         "STAT oom_errors %llu\r\n"
         "STAT accept_failures %llu\r\n",
-        ioBackendName(cfg_.ioBackend),
         static_cast<unsigned long long>(s.currConnections),
         static_cast<unsigned long long>(s.totalConnections),
         static_cast<unsigned long long>(s.rejectedConnections),

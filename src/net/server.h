@@ -50,20 +50,15 @@ namespace tmemc::net
 {
 
 /**
- * How the event loops write replies. Both run on level-triggered
- * epoll readiness; they differ only in the flush.
+ * The one I/O backend: level-triggered epoll readiness, replies
+ * flushed from each connection's write buffer with write(2). Kept
+ * with ServerCfg::ioBackend only because tmemc-bench assigns both;
+ * the server reads neither.
  */
 enum class IoBackend : std::uint8_t
 {
-    Epoll,   //!< Copying flush: one write(2) over coalesced replies.
-    Writev,  //!< Zero-copy gather flush: one writev(2) per flush.
+    Epoll,
 };
-
-/** Stable lowercase name ("epoll", "writev"). */
-const char *ioBackendName(IoBackend b);
-
-/** Parse a --io-backend value; @p out is untouched on failure. */
-bool parseIoBackend(const std::string &s, IoBackend &out);
 
 /** Server knobs. */
 struct ServerCfg
@@ -79,11 +74,7 @@ struct ServerCfg
     std::uint32_t idleTimeoutMs = 0;
     /** Per-connection byte budgets (defaults in ConnLimits). */
     ConnLimits limits{};
-    /**
-     * I/O backend. Epoll is the seed copy path; Writev serves ASCII
-     * GET hits zero-copy (value bytes pinned in the slab, shipped by
-     * gather write). Served as `STAT io_backend <name>`.
-     */
+    /** Unused by the server; see IoBackend. */
     IoBackend ioBackend = IoBackend::Epoll;
 };
 

@@ -6,7 +6,6 @@
  * Usage: tmemc_server [--branch NAME] [--port N] [--workers N]
  *                     [--shards N] [--mem MB] [--max-conns N]
  *                     [--idle-timeout MS] [--drain-ms MS]
- *                     [--io-backend epoll|writev]
  *                     [--metrics-json PATH] [--trace] [--verbose]
  *                     [--tail] [--tail-k N] [--tail-json PATH]
  *                     [--slow-shard IDX:DELAY_US[:EVERY_N]]
@@ -75,7 +74,6 @@ main(int argc, char **argv)
     std::uint32_t max_conns = 0;
     std::uint32_t idle_timeout_ms = 0;
     std::uint32_t drain_ms = 2000;
-    net::IoBackend io_backend = net::IoBackend::Epoll;
     std::string metrics_json;
     bool trace = false;
     bool tail = false;
@@ -89,7 +87,6 @@ main(int argc, char **argv)
                      "[--workers N] [--shards N] [--mem MB] "
                      "[--max-conns N] [--idle-timeout MS] "
                      "[--drain-ms MS] "
-                     "[--io-backend epoll|writev] "
                      "[--metrics-json PATH] "
                      "[--trace] [--verbose] "
                      "[--tail] [--tail-k N] [--tail-json PATH] "
@@ -119,14 +116,7 @@ main(int argc, char **argv)
                 static_cast<std::uint32_t>(std::atoi(next()));
         else if (a == "--drain-ms")
             drain_ms = static_cast<std::uint32_t>(std::atoi(next()));
-        else if (a == "--io-backend") {
-            const std::string v = next();
-            if (!net::parseIoBackend(v, io_backend)) {
-                std::fprintf(stderr, "unknown --io-backend '%s'\n",
-                             v.c_str());
-                return usage();
-            }
-        } else if (a == "--metrics-json")
+        else if (a == "--metrics-json")
             metrics_json = next();
         else if (a == "--trace")
             trace = true;
@@ -199,7 +189,6 @@ main(int argc, char **argv)
     cfg.workers = workers;
     cfg.maxConns = max_conns;
     cfg.idleTimeoutMs = idle_timeout_ms;
-    cfg.ioBackend = io_backend;
     net::Server server(*cache, cfg);
     if (!server.start()) {
         std::fprintf(stderr, "failed to bind 127.0.0.1:%u\n",
@@ -209,9 +198,8 @@ main(int argc, char **argv)
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
     std::printf("tmemc_server: branch=%s workers=%u shards=%u "
-                "io_backend=%s listening on 127.0.0.1:%u\n",
+                "listening on 127.0.0.1:%u\n",
                 cache->branchName(), workers, cache->shardCount(),
-                net::ioBackendName(io_backend),
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
 

@@ -11,7 +11,6 @@
  *   net.accept       fail with policy errno (default EMFILE)
  *   net.read         fail with errno, or short-read via byteCap
  *   net.write        fail with errno, or short-write via byteCap
- *   net.sys.writev   fail with errno, or truncate the gather (byteCap)
  *   net.epoll_wait   fail with errno, or report zero events
  *   net.sys.connect  fail with errno (default ECONNREFUSED)
  *
@@ -36,7 +35,6 @@
 #include <cerrno>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include "common/compiler.h"
@@ -106,42 +104,6 @@ writeFd(int fd, const void *buf, std::size_t count)
         }
     }
     return ::write(fd, buf, count);
-}
-
-/** Most iovecs one gather write submits (also the fault-trim bound). */
-constexpr int kMaxWriteIov = 64;
-
-TM_UNSAFE inline ssize_t
-writevFd(int fd, const struct iovec *iov, int iovcnt)
-{
-    if (fault::enabled()) {
-        const fault::Action a = fault::consult("net.sys.writev");
-        if (a.fire) {
-            fault::maybeDelay(a);
-            if (a.errnoValue != 0) {
-                errno = a.errnoValue;
-                return -1;
-            }
-            if (a.byteCap != 0) {
-                // Simulate a short gather write: trim the iov list to
-                // byteCap total bytes, possibly splitting one entry.
-                struct iovec trimmed[kMaxWriteIov];
-                std::size_t budget = a.byteCap;
-                int n = 0;
-                for (; n < iovcnt && n < kMaxWriteIov && budget > 0;
-                     ++n) {
-                    trimmed[n] = iov[n];
-                    if (trimmed[n].iov_len > budget)
-                        trimmed[n].iov_len = budget;
-                    budget -= trimmed[n].iov_len;
-                }
-                if (n == 0)
-                    return 0;
-                return ::writev(fd, trimmed, n);
-            }
-        }
-    }
-    return ::writev(fd, iov, iovcnt);
 }
 
 TM_UNSAFE inline int

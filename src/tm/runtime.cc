@@ -106,6 +106,9 @@ Runtime::quiesce(TxDomain *domain, std::uint64_t commit_time,
     // only after unpublishing their own attempt, so a second committer
     // blocked on this mutex no longer holds anyone else up.
     std::lock_guard<std::mutex> guard(regLock_);
+    // Pairs with the fence in TxDesc::publishStart: the commit's orec
+    // and clock stores are ordered before the pubStart loads below.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     for (TxDesc *other : threads_) {
         if (other == self)
             continue;

@@ -146,7 +146,9 @@ class alignas(cachelineBytes) TxDesc
     /** Snapshot of the NOrec sequence lock. */
     std::uint64_t norecSnapshot = 0;
     /** Published start time for commit-time quiescence; 0 = inactive.
-     *  Stored as startTime + 1 so that startTime 0 is representable. */
+     *  Stored as startTime + 1 so that startTime 0 is representable.
+     *  The publish and quiesce()'s scan are also a store-load pair,
+     *  fenced on both sides (see publishStart()). */
     // atom-protocol: release-acquire-pair
     std::atomic<std::uint64_t> pubStart{0};
 
@@ -206,11 +208,18 @@ class alignas(cachelineBytes) TxDesc
         redoLog.clear();
     }
 
-    /** Publish this attempt's start time for quiescence. */
+    /**
+     * Publish this attempt's start time for quiescence. The fence
+     * keeps the store ahead of every later orec or clock load: without
+     * it the store can wait in the store buffer while those loads run,
+     * and a committer whose quiesce() scan misses it frees memory this
+     * attempt is still reading.
+     */
     void
     publishStart(std::uint64_t start_time)
     {
         pubStart.store(start_time + 1, std::memory_order_release);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
     }
 
     /** Withdraw from quiescence consideration. */

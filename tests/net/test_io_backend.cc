@@ -1,20 +1,23 @@
 /**
  * @file
- * The I/O backend matrix (epoll / writev, net/server.h): both
- * backends serve the same bytes, and the zero-copy gather path obeys
- * the same backpressure caps and fault-injection invariants as the
- * seed copy path.
+ * The server's one write path (net/conn.h): each connection appends
+ * replies to a single write buffer and flushes it with write(2). The
+ * cases check that replies leave byte-exact and in order, that the
+ * backlog obeys the backpressure caps, and that the flush survives
+ * the net.write fault schedules (short writes, spurious EAGAIN).
  *
- * Branch is IP-onCommit throughout: its item strategy supports pinned
- * gets (CacheCore::pinnedGetSupported()), so the writev backend
- * actually ships GET hits zero-copy — the IT-* branches fall
- * back to the copy path and would test nothing new.
+ * Branch is IP-onCommit throughout; the subject is the connection
+ * layer, not the cache.
  *
- * Tests named *Chaos* run fault schedules on the net.sys.writev site;
- * the CMake registration exposes them under `ctest -L chaos` too.
+ * Tests named *Chaos* run fault schedules on the net.write site; the
+ * CMake registration exposes them under `ctest -L chaos` too.
  */
 
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <string>
@@ -25,8 +28,8 @@
 #include "mc/binary_protocol.h"
 #include "mc/cache_iface.h"
 #include "mc/protocol.h"
-#include "mc/reply.h"
 #include "net/client.h"
+#include "net/conn.h"
 #include "net/server.h"
 #include "tm/runtime.h"
 
@@ -36,70 +39,10 @@ namespace
 using namespace tmemc;
 
 // ----------------------------------------------------------------------
-// Flag plumbing
+// Fixture
 // ----------------------------------------------------------------------
 
-TEST(IoBackendFlag, ParseAcceptsEpollAndWritevOnly)
-{
-    net::IoBackend b = net::IoBackend::Writev;
-    EXPECT_TRUE(net::parseIoBackend("epoll", b));
-    EXPECT_EQ(b, net::IoBackend::Epoll);
-    EXPECT_TRUE(net::parseIoBackend("writev", b));
-    EXPECT_EQ(b, net::IoBackend::Writev);
-
-    // There is no ring-based readiness backend; its old name and
-    // aliases are rejected like any unknown value.
-    for (const char *gone : {"io_uring", "uring", "io-uring", "kqueue"}) {
-        EXPECT_FALSE(net::parseIoBackend(gone, b)) << gone;
-        EXPECT_EQ(b, net::IoBackend::Writev);  // Untouched on failure.
-    }
-
-    EXPECT_STREQ(net::ioBackendName(net::IoBackend::Epoll), "epoll");
-    EXPECT_STREQ(net::ioBackendName(net::IoBackend::Writev), "writev");
-}
-
-// ----------------------------------------------------------------------
-// The zero-copy executor, off the wire
-// ----------------------------------------------------------------------
-
-TEST(PinnedExecute, AsciiGetHitRidesAsPinnedSegment)
-{
-    tm::Runtime::get().configure(tm::RuntimeCfg{});
-    mc::Settings settings;
-    settings.maxBytes = 16 * 1024 * 1024;
-    auto cache = mc::makeCache("IP-onCommit", settings, 1);
-    ASSERT_NE(cache, nullptr);
-    ASSERT_TRUE(cache->pinnedGetSupported());
-
-    ASSERT_EQ(mc::protocolExecute(*cache, 0, "set pk 0 0 5\r\nhello\r\n"),
-              "STORED\r\n");
-
-    mc::Reply out;
-    ASSERT_TRUE(
-        mc::protocolExecutePinned(*cache, 0, "get pk\r\n", out));
-    EXPECT_TRUE(out.hasPinned());
-    EXPECT_EQ(out.str(), "VALUE pk 0 5\r\nhello\r\nEND\r\n");
-
-    // Misses produce no pinned segment; mutations refuse the pinned
-    // path outright (the caller falls back to protocolExecute).
-    mc::Reply miss;
-    ASSERT_TRUE(
-        mc::protocolExecutePinned(*cache, 0, "get nope\r\n", miss));
-    EXPECT_FALSE(miss.hasPinned());
-    EXPECT_EQ(miss.str(), "END\r\n");
-
-    mc::Reply set;
-    EXPECT_FALSE(mc::protocolExecutePinned(*cache, 0,
-                                           "set pk 0 0 1\r\nx\r\n",
-                                           set));
-    EXPECT_EQ(set.bytes(), 0u);
-}
-
-// ----------------------------------------------------------------------
-// Backend matrix fixture
-// ----------------------------------------------------------------------
-
-class IoBackendTest : public ::testing::TestWithParam<net::IoBackend>
+class WritePathTest : public ::testing::Test
 {
   protected:
     void
@@ -111,7 +54,6 @@ class IoBackendTest : public ::testing::TestWithParam<net::IoBackend>
         settings.maxBytes = 16 * 1024 * 1024;
         cache_ = mc::makeCache("IP-onCommit", settings, kWorkers);
         ASSERT_NE(cache_, nullptr);
-        ASSERT_TRUE(cache_->pinnedGetSupported());
     }
 
     void
@@ -127,7 +69,6 @@ class IoBackendTest : public ::testing::TestWithParam<net::IoBackend>
     {
         cfg.port = 0;
         cfg.workers = kWorkers;
-        cfg.ioBackend = GetParam();
         server_ = std::make_unique<net::Server>(*cache_, cfg);
         ASSERT_TRUE(server_->start());
     }
@@ -146,7 +87,7 @@ class IoBackendTest : public ::testing::TestWithParam<net::IoBackend>
     std::unique_ptr<net::Server> server_;
 };
 
-TEST_P(IoBackendTest, RoundTripsAreByteIdenticalAcrossBackends)
+TEST_F(WritePathTest, RoundTripsAreByteExact)
 {
     startServer(net::ServerCfg{});
     net::Client c = makeClient();
@@ -167,25 +108,19 @@ TEST_P(IoBackendTest, RoundTripsAreByteIdenticalAcrossBackends)
               "VALUE k1 0 7\r\nvalue-1\r\nVALUE k2 0 7\r\nvalue-2"
               "\r\nEND\r\n");
 
-    // gets carries the CAS id on the pinned path too.
+    // gets carries the CAS id.
     const std::string gets = c.roundTripAscii("gets k1\r\n");
     EXPECT_EQ(gets.compare(0, 13, "VALUE k1 0 7 "), 0) << gets;
 
-    // Binary protocol on the same connection (copy path everywhere).
+    // Binary protocol on the same connection.
     const std::string wire =
         c.roundTripBinary(mc::binSetRequest("bk", "bv"));
     mc::BinResponse r;
     ASSERT_GT(mc::binParseResponse(wire, r), 0u);
     EXPECT_EQ(r.status, mc::BinStatus::Ok);
-
-    // The configured backend is visible over the wire.
-    const std::string stats = c.roundTripAscii("stats\r\n");
-    const std::string want = std::string("STAT io_backend ") +
-                             net::ioBackendName(GetParam()) + "\r\n";
-    EXPECT_NE(stats.find(want), std::string::npos) << stats;
 }
 
-TEST_P(IoBackendTest, PipelinedBurstKeepsOrder)
+TEST_F(WritePathTest, PipelinedBurstKeepsOrder)
 {
     startServer(net::ServerCfg{});
     net::Client c = makeClient();
@@ -208,24 +143,21 @@ TEST_P(IoBackendTest, PipelinedBurstKeepsOrder)
     }
 }
 
-TEST_P(IoBackendTest, SlowReaderHitsBackpressureOnPinnedBytes)
+TEST_F(WritePathTest, SlowReaderHitsBackpressure)
 {
-    // Satellite-4 regression: pendingWrite() must count pinned bytes.
-    // The reply to one 8 KiB GET is almost entirely pinned payload —
-    // if only owned bytes counted, the backlog would register ~30
-    // bytes and the hard cap could never fire on the zero-copy path.
+    // The reply to one 8 KiB GET overshoots a 4 KiB hard cap while
+    // the write path is stalled, so the connection must be shed.
     net::ServerCfg cfg;
     cfg.limits.wbufSoftCap = 2 * 1024;
     cfg.limits.wbufHardCap = 4 * 1024;
     startServer(cfg);
 
-    // Stall whichever write path this backend uses, so replies can
-    // only accumulate against the caps.
+    // Stall the write path, so replies can only accumulate against
+    // the caps.
     fault::Policy p;
     p.trigger = fault::Trigger::EveryNth;
     p.n = 1;
     p.errnoValue = EAGAIN;
-    fault::ScopedFault sfv("net.sys.writev", p);
     fault::ScopedFault sfw("net.write", p);
 
     net::Client c = makeClient();
@@ -251,261 +183,19 @@ TEST_P(IoBackendTest, SlowReaderHitsBackpressureOnPinnedBytes)
 }
 
 // ----------------------------------------------------------------------
-// drain() vs. in-flight pinned segments
+// Fault schedules on the write syscall (chaos suite members)
 // ----------------------------------------------------------------------
 
-/**
- * Forwarding cache that counts pin acquire/release pairs. getPinned
- * rewrites PinnedValue::owner to this wrapper, so every release the
- * server performs — normal send completion, backpressure shed, or
- * connection teardown during drain()/stop() — routes through
- * releasePinned() here before reaching the real cache.
- */
-class PinCountingCache : public mc::CacheIface
-{
-  public:
-    explicit PinCountingCache(mc::CacheIface &inner) : inner_(inner) {}
-
-    std::uint64_t acquired() const { return acquired_.load(); }
-    std::uint64_t released() const { return released_.load(); }
-
-    const char *branchName() const override
-    {
-        return inner_.branchName();
-    }
-    const mc::BranchCfg &branchCfg() const override
-    {
-        return inner_.branchCfg();
-    }
-    GetResult
-    get(std::uint32_t tid, const char *key, std::size_t nkey, char *out,
-        std::size_t out_cap) override
-    {
-        return inner_.get(tid, key, nkey, out, out_cap);
-    }
-    bool pinnedGetSupported() const override
-    {
-        return inner_.pinnedGetSupported();
-    }
-    PinnedValue
-    getPinned(std::uint32_t tid, const char *key,
-              std::size_t nkey) override
-    {
-        PinnedValue v = inner_.getPinned(tid, key, nkey);
-        if (v.handle != nullptr) {
-            acquired_.fetch_add(1);
-            v.owner = this;
-        }
-        return v;
-    }
-    void
-    releasePinned(std::uint32_t tid, void *handle) override
-    {
-        released_.fetch_add(1);
-        inner_.releasePinned(tid, handle);
-    }
-    mc::OpStatus
-    store(std::uint32_t tid, const char *key, std::size_t nkey,
-          const char *val, std::size_t nbytes, mc::StoreMode mode,
-          std::uint64_t cas_expected, std::int64_t exptime,
-          std::uint64_t *cas_out) override
-    {
-        return inner_.store(tid, key, nkey, val, nbytes, mode,
-                            cas_expected, exptime, cas_out);
-    }
-    mc::OpStatus
-    del(std::uint32_t tid, const char *key, std::size_t nkey) override
-    {
-        return inner_.del(tid, key, nkey);
-    }
-    mc::OpStatus
-    arith(std::uint32_t tid, const char *key, std::size_t nkey,
-          std::uint64_t delta, bool incr,
-          std::uint64_t &out_value) override
-    {
-        return inner_.arith(tid, key, nkey, delta, incr, out_value);
-    }
-    mc::OpStatus
-    touch(std::uint32_t tid, const char *key, std::size_t nkey,
-          std::int64_t exptime) override
-    {
-        return inner_.touch(tid, key, nkey, exptime);
-    }
-    mc::OpStatus
-    concat(std::uint32_t tid, const char *key, std::size_t nkey,
-           const char *extra, std::size_t nextra, bool append) override
-    {
-        return inner_.concat(tid, key, nkey, extra, nextra, append);
-    }
-    std::size_t
-    statsText(std::uint32_t tid, char *out, std::size_t cap) override
-    {
-        return inner_.statsText(tid, out, cap);
-    }
-    void flushAll(std::uint32_t tid) override { inner_.flushAll(tid); }
-    mc::GlobalStats globalStats() override
-    {
-        return inner_.globalStats();
-    }
-    mc::ThreadStatsBlock threadStats() override
-    {
-        return inner_.threadStats();
-    }
-    std::vector<mc::LockProfileRow> lockProfile() const override
-    {
-        return inner_.lockProfile();
-    }
-    std::uint64_t linkedItemCount() override
-    {
-        return inner_.linkedItemCount();
-    }
-    std::uint32_t hashPowerNow() override
-    {
-        return inner_.hashPowerNow();
-    }
-    void quiesceMaintenance() override { inner_.quiesceMaintenance(); }
-    void
-    requestRebalance(std::uint32_t src_cls,
-                     std::uint32_t dst_cls) override
-    {
-        inner_.requestRebalance(src_cls, dst_cls);
-    }
-    std::uint32_t shardCount() const override
-    {
-        return inner_.shardCount();
-    }
-    std::uint32_t
-    shardOf(const char *key, std::size_t nkey) const override
-    {
-        return inner_.shardOf(key, nkey);
-    }
-
-  private:
-    mc::CacheIface &inner_;
-    std::atomic<std::uint64_t> acquired_{0};
-    std::atomic<std::uint64_t> released_{0};
-};
-
-class DrainPinsTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        fault::disarmAll();
-        tm::Runtime::get().configure(tm::RuntimeCfg{});
-        mc::Settings settings;
-        settings.maxBytes = 16 * 1024 * 1024;
-        inner_ = mc::makeCache("IP-onCommit", settings, 2);
-        ASSERT_NE(inner_, nullptr);
-        counting_ = std::make_unique<PinCountingCache>(*inner_);
-        net::ServerCfg cfg;
-        cfg.port = 0;
-        cfg.workers = 2;
-        cfg.ioBackend = net::IoBackend::Writev;
-        server_ = std::make_unique<net::Server>(*counting_, cfg);
-        ASSERT_TRUE(server_->start());
-    }
-
-    void
-    TearDown() override
-    {
-        fault::disarmAll();
-        if (server_ != nullptr)
-            server_->stop();
-    }
-
-    /** Queue kGets pinned replies server-side by stalling the write
-     *  syscalls, then wait until every pin is held. */
-    void
-    queuePinnedBacklog(net::Client &c)
-    {
-        const std::string v(2048, 'd');
-        ASSERT_EQ(c.roundTripAscii("set dk 0 0 " +
-                                   std::to_string(v.size()) + "\r\n" +
-                                   v + "\r\n"),
-                  "STORED\r\n");
-        fault::Policy p;
-        p.trigger = fault::Trigger::EveryNth;
-        p.n = 1;
-        p.errnoValue = EAGAIN;
-        fault::arm("net.sys.writev", p);
-        fault::arm("net.write", p);
-        std::string burst;
-        for (int i = 0; i < kGets; ++i)
-            burst += "get dk\r\n";
-        ASSERT_TRUE(c.sendAll(burst));
-        for (int i = 0; i < 1000; ++i) {
-            if (counting_->acquired() >= kGets &&
-                counting_->released() < counting_->acquired())
-                break;
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-        ASSERT_GE(counting_->acquired(), std::uint64_t{kGets});
-        ASSERT_LT(counting_->released(), counting_->acquired());
-    }
-
-    static constexpr int kGets = 4;
-    std::unique_ptr<mc::CacheIface> inner_;
-    std::unique_ptr<PinCountingCache> counting_;
-    std::unique_ptr<net::Server> server_;
-};
-
-TEST_F(DrainPinsTest, GracefulDrainFlushesAndReleasesEveryPin)
-{
-    net::Client c;
-    ASSERT_TRUE(c.connect("127.0.0.1", server_->port(), 5000));
-    c.setRecvTimeout(10000);
-    queuePinnedBacklog(c);
-
-    // Lift the stall: drain() must flush the queued pinned segments
-    // (8 KiB fits loopback socket buffers without a reader) and drop
-    // every reference before returning.
-    fault::disarmAll();
-    EXPECT_TRUE(server_->drain(5000));
-    EXPECT_EQ(counting_->released(), counting_->acquired());
-
-    // The flushed bytes are intact in the client's receive buffer.
-    const std::string want =
-        "VALUE dk 0 2048\r\n" + std::string(2048, 'd') + "\r\nEND\r\n";
-    for (int i = 0; i < kGets; ++i) {
-        std::string reply;
-        ASSERT_TRUE(c.recvAscii(reply)) << "reply " << i;
-        EXPECT_EQ(reply, want) << "reply " << i;
-    }
-}
-
-TEST_F(DrainPinsTest, DeadlineForcedDrainStillReleasesEveryPin)
-{
-    net::Client c;
-    ASSERT_TRUE(c.connect("127.0.0.1", server_->port(), 5000));
-    c.setRecvTimeout(10000);
-    queuePinnedBacklog(c);
-
-    // Keep the write path stalled so the backlog can never flush: the
-    // deadline forces the remaining connections closed, and teardown
-    // must still release every pinned segment it rips out of the
-    // queues — a leaked reference here would pin slab memory forever.
-    (void)server_->drain(300);
-    EXPECT_EQ(counting_->released(), counting_->acquired());
-    EXPECT_GE(counting_->acquired(), std::uint64_t{kGets});
-}
-
-// ----------------------------------------------------------------------
-// Fault schedules on the gather-write syscall (chaos suite members)
-// ----------------------------------------------------------------------
-
-TEST_P(IoBackendTest, ChaosShortWritevStitchesReplies)
+TEST_F(WritePathTest, ChaosShortWritesStitchReplies)
 {
     startServer(net::ServerCfg{});
-    // Every gather write is truncated to 7 bytes: headers, pinned
-    // payloads, and trailers all leave in ragged fragments that may
-    // split a segment mid-iovec. Replies must still be byte-perfect.
+    // Every write is truncated to 7 bytes: headers, payloads, and
+    // trailers all leave in ragged fragments. Replies must still be
+    // byte-perfect.
     fault::Policy p;
     p.trigger = fault::Trigger::EveryNth;
     p.n = 1;
     p.byteCap = 7;
-    fault::ScopedFault sfv("net.sys.writev", p);
     fault::ScopedFault sfw("net.write", p);
 
     net::Client c = makeClient();
@@ -520,21 +210,142 @@ TEST_P(IoBackendTest, ChaosShortWritevStitchesReplies)
                   "VALUE " + k + " 0 " + std::to_string(v.size()) +
                       "\r\n" + v + "\r\nEND\r\n");
     }
-    if (GetParam() != net::IoBackend::Epoll)
-        EXPECT_GT(sfv.firedCount(), 0u);
+    EXPECT_GT(sfw.firedCount(), 0u);
 }
 
-TEST_P(IoBackendTest, ChaosWritevEagainRetriesWithoutCorruption)
+TEST(ConnWriteBuffer, ChaosShortWritesBehindPartlyFlushedFront)
+{
+    // One Conn on a socketpair whose send buffer is tiny and whose
+    // peer does not read, with every write capped at 7 bytes. A
+    // 50-request burst arrives in chunks; each chunk's flush stops at
+    // EAGAIN with the buffer's front only partly written, and the
+    // next chunk's replies are appended behind it. The expected bytes
+    // come from running the same requests against a second fresh
+    // cache of the same branch, so even the binary CAS ids match.
+    fault::disarmAll();
+    tm::Runtime::get().configure(tm::RuntimeCfg{});
+    mc::Settings settings;
+    settings.maxBytes = 16 * 1024 * 1024;
+    auto cache = mc::makeCache("IP-onCommit", settings, 1);
+    auto ref = mc::makeCache("IP-onCommit", settings, 1);
+    ASSERT_NE(cache, nullptr);
+    ASSERT_NE(ref, nullptr);
+    auto run = [](mc::CacheIface &c, bool binary,
+                  const std::string &frame) {
+        return binary ? mc::binaryExecute(c, 0, frame)
+                      : mc::protocolExecute(c, 0, frame);
+    };
+    const net::ExecFn exec = [&](std::uint32_t, bool binary,
+                                 const std::string &frame,
+                                 std::string &out) {
+        out += run(*cache, binary, frame);
+    };
+
+    struct Req
+    {
+        bool binary;
+        std::string wire;
+    };
+    std::vector<Req> reqs;
+    std::vector<std::string> want;
+    for (int i = 0; i < 50; ++i) {
+        const std::string n = std::to_string((i / 6) % 2);
+        const std::string v(2000 + i, static_cast<char>('a' + i % 26));
+        const auto op = static_cast<std::uint32_t>(i);
+        switch (i % 6) {
+          case 0:
+            reqs.push_back({false, "set pa" + n + " 0 0 " +
+                                       std::to_string(v.size()) +
+                                       "\r\n" + v + "\r\n"});
+            break;
+          case 1:
+            reqs.push_back({false, "get pa" + n + "\r\n"});
+            break;
+          case 2:
+            reqs.push_back({true, mc::binSetRequest("pb" + n, v)});
+            break;
+          case 3:
+            reqs.push_back(
+                {true, mc::binRequest(mc::BinOp::Get, "pb" + n, "", "",
+                                      0, op)});
+            break;
+          case 4:
+            reqs.push_back(
+                {false, "get miss" + std::to_string(i) + "\r\n"});
+            break;
+          default:
+            reqs.push_back(
+                {true, mc::binRequest(mc::BinOp::Get,
+                                      "miss" + std::to_string(i), "",
+                                      "", 0, op)});
+            break;
+        }
+        want.push_back(run(*ref, reqs.back().binary, reqs.back().wire));
+    }
+
+    int sv[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    const int sndbuf = 4096;
+    ASSERT_EQ(::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                           sizeof(sndbuf)),
+              0);
+    ASSERT_EQ(::fcntl(sv[0], F_SETFL, O_NONBLOCK), 0);
+    const net::ConnLimits limits;
+    net::Conn conn(sv[0], 1, limits);  // Owns sv[0] from here on.
+
+    fault::Policy p;
+    p.trigger = fault::Trigger::EveryNth;
+    p.n = 1;
+    p.byteCap = 7;
+    fault::ScopedFault sfw("net.write", p);
+
+    std::size_t queued = 0;  // Reply bytes the chunks so far produce.
+    for (std::size_t i = 0; i < reqs.size(); i += 10) {
+        std::string chunk;
+        for (std::size_t j = i; j < i + 10 && j < reqs.size(); ++j) {
+            chunk += reqs[j].wire;
+            queued += want[j].size();
+        }
+        ASSERT_EQ(::write(sv[1], chunk.data(), chunk.size()),
+                  static_cast<ssize_t>(chunk.size()));
+        ASSERT_TRUE(conn.onReadable(0, exec));
+        // Some bytes left, the rest wait behind them.
+        ASSERT_TRUE(conn.wantsWrite()) << "chunk " << i / 10;
+        ASSERT_LT(conn.pendingWrite(), queued) << "chunk " << i / 10;
+    }
+
+    std::string got;
+    char buf[4096];
+    for (int spins = 0; spins < 100000; ++spins) {
+        const ssize_t n = ::recv(sv[1], buf, sizeof(buf), MSG_DONTWAIT);
+        if (n > 0)
+            got.append(buf, static_cast<std::size_t>(n));
+        if (!conn.wantsWrite() && n <= 0)
+            break;
+        ASSERT_TRUE(conn.onWritable(0, exec));
+    }
+    ::close(sv[1]);
+    EXPECT_EQ(conn.requestsServed(), reqs.size());
+    ASSERT_EQ(got.size(), queued);
+    std::size_t off = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        ASSERT_EQ(got.substr(off, want[i].size()), want[i])
+            << "reply " << i;
+        off += want[i].size();
+    }
+    EXPECT_GT(sfw.firedCount(), 0u);
+}
+
+TEST_F(WritePathTest, ChaosWriteEagainRetriesWithoutCorruption)
 {
     startServer(net::ServerCfg{});
-    // Half of all gather writes spuriously report EAGAIN; the flush
-    // must wait for EPOLLOUT and resume exactly where it left off.
+    // Half of all writes spuriously report EAGAIN; the flush must
+    // wait for EPOLLOUT and resume exactly where it left off.
     fault::Policy p;
     p.trigger = fault::Trigger::Probability;
     p.probability = 0.5;
     p.seed = 424242;
     p.errnoValue = EAGAIN;
-    fault::ScopedFault sfv("net.sys.writev", p);
     fault::ScopedFault sfw("net.write", p);
 
     net::Client c = makeClient();
@@ -551,25 +362,23 @@ TEST_P(IoBackendTest, ChaosWritevEagainRetriesWithoutCorruption)
     }
 }
 
-TEST_P(IoBackendTest, ChaosEvictionPressureNeverTearsPinnedReplies)
+TEST_F(WritePathTest, ChaosEvictionPressureNeverTearsReplies)
 {
-    // A tiny cache under a write storm: items the reader just pinned
-    // are prime eviction candidates. The refcount must keep every
-    // pinned chunk's bytes alive until the kernel accepted them —
-    // acknowledged VALUE replies must match what was stored, always.
+    // A tiny cache under a write storm: items the reader just read
+    // are prime eviction candidates, and ragged flushes keep replies
+    // queued while the storm runs. Acknowledged VALUE replies must
+    // match what was stored, always.
     mc::Settings settings;
     settings.maxBytes = 2 * 1024 * 1024;
     cache_ = mc::makeCache("IP-onCommit", settings, kWorkers);
     ASSERT_NE(cache_, nullptr);
     startServer(net::ServerCfg{});
 
-    // Ragged flushes widen the queued-pin window the storm races.
     fault::Policy p;
     p.trigger = fault::Trigger::Probability;
     p.probability = 0.5;
     p.seed = 777;
     p.byteCap = 512;
-    fault::ScopedFault sfv("net.sys.writev", p);
     fault::ScopedFault sfw("net.write", p);
 
     auto valueFor = [](int i) {
@@ -623,14 +432,5 @@ TEST_P(IoBackendTest, ChaosEvictionPressureNeverTearsPinnedReplies)
     writer.join();
     EXPECT_EQ(torn.load(), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, IoBackendTest,
-                         ::testing::Values(net::IoBackend::Epoll,
-                                           net::IoBackend::Writev),
-                         [](const auto &info) {
-                             return info.param == net::IoBackend::Epoll
-                                        ? "Epoll"
-                                        : "Writev";
-                         });
 
 } // namespace
