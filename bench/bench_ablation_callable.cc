@@ -29,45 +29,22 @@ main(int argc, char **argv)
     // helpers are themselves safe, so the only question is whether the
     // compiler may instrument unannotated calls. At stage 3 the calls
     // are unsafe regardless, which is why Table 1 shows no difference.
-    runFigure(
-        "Ablation: callable annotations under a conservative compiler",
-        {
-            {"IP-Lib-Bare (inferring)", "IP-Lib-Bare",
-             gccDefaultRuntime()},
-            {"IP-Lib-Bare (conservative)", "IP-Lib-Bare", conservative},
-            {"IP-Lib (conservative)", "IP-Lib", conservative},
-        },
-        opts);
+    const std::vector<SeriesSpec> series = {
+        {"IP-Lib-Bare (inferring)", "IP-Lib-Bare", gccDefaultRuntime()},
+        {"IP-Lib-Bare (conservative)", "IP-Lib-Bare", conservative},
+        {"IP-Lib (conservative)", "IP-Lib", conservative},
+    };
+    runFigure("Ablation: callable annotations under a conservative compiler",
+              series, opts);
 
     std::printf("serialization profiles at 4 threads:\n\n");
     std::printf("%-28s %12s %18s %18s %12s\n", "Configuration",
                 "Transactions", "In-Flight Switch", "Start Serial",
                 "Abort Serial");
-    struct Cfg
-    {
-        const char *label;
-        const char *branch;
-        bool infer;
-    };
-    for (const Cfg &c :
-         {Cfg{"IP-Lib-Bare (inferring)", "IP-Lib-Bare", true},
-          Cfg{"IP-Lib-Bare (conservative)", "IP-Lib-Bare", false},
-          Cfg{"IP-Lib (conservative)", "IP-Lib", false}}) {
-        tm::RuntimeCfg rcfg;
-        rcfg.inferCallableSafety = c.infer;
-        tm::Runtime::get().configure(rcfg);
-        tm::Runtime::get().resetStats();
-        mc::Settings settings;
-        settings.maxBytes = 256 * 1024 * 1024;
-        auto cache = mc::makeCache(c.branch, settings, 4);
-        workload::MemslapCfg w;
-        w.concurrency = 4;
-        w.executeNumber = opts.opsPerThread;
-        w.windowSize = opts.windowSize;
-        workload::runMemslap(*cache, w);
-        cache.reset();
+    for (const SeriesSpec &s : series) {
+        runWorkload(s, 4, opts);
         const auto snap = tm::Runtime::get().snapshot();
-        std::printf("%s\n", snap.formatTableRow(c.label).c_str());
+        std::printf("%s\n", snap.formatTableRow(s.label).c_str());
     }
     std::printf("\npaper context: with inference on (GCC's behaviour), "
                 "annotations are\nredundant; without it, unannotated "

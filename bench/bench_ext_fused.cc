@@ -31,17 +31,7 @@ main(int argc, char **argv)
 
     // Transaction-count comparison at 4 threads.
     for (const char *branch : {"IT-onCommit", "IT-Fused"}) {
-        tm::Runtime::get().configure(noLockRuntime());
-        tm::Runtime::get().resetStats();
-        mc::Settings settings;
-        settings.maxBytes = 256 * 1024 * 1024;
-        auto cache = mc::makeCache(branch, settings, 4);
-        workload::MemslapCfg w;
-        w.concurrency = 4;
-        w.executeNumber = opts.opsPerThread;
-        w.windowSize = opts.windowSize;
-        workload::runMemslap(*cache, w);
-        cache.reset();
+        runWorkload({branch, branch, noLockRuntime()}, 4, opts);
         const auto snap = tm::Runtime::get().snapshot();
         std::printf("%-12s: %llu transactions for %llu ops "
                     "(%.2f txns/op), %llu aborts\n",

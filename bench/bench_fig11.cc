@@ -42,21 +42,7 @@ void
 abortReport(const SeriesSpec &spec, std::uint32_t threads,
             const HarnessOpts &opts)
 {
-    tm::Runtime::get().configure(spec.runtime);
-    tm::Runtime::get().resetStats();
-    mc::Settings settings;
-    settings.maxBytes = 256 * 1024 * 1024;
-    settings.hashPowerInit = 12;
-    auto cache = mc::makeCache(spec.cacheBranch, settings, threads);
-    workload::MemslapCfg w;
-    w.concurrency = threads;
-    w.executeNumber = opts.opsPerThread;
-    w.windowSize = opts.windowSize;
-    w.valueSize = opts.valueSize;
-    w.setFraction = opts.setFraction;
-    workload::runMemslap(*cache, w);
-    cache.reset();
-
+    runWorkload(spec, threads, opts);
     const auto snap = tm::Runtime::get().snapshot();
     const double aborts = static_cast<double>(snap.total.aborts);
     const double commits = static_cast<double>(snap.total.commits);

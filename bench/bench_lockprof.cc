@@ -25,7 +25,6 @@ main(int argc, char **argv)
     tm::Runtime::get().configure(gccDefaultRuntime());
     mc::Settings settings;
     settings.maxBytes = 256 * 1024 * 1024;
-    settings.hashPowerInit = 12;
     auto cache = mc::makeCache("Baseline", settings, threads);
 
     workload::MemslapCfg w;

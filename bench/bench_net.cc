@@ -12,9 +12,16 @@
  * the cost of the network stack — the layer the paper deliberately
  * kept on-machine so it would not hide TM latency.
  *
- * Exits nonzero if any response is lost or the server's served-count
- * disagrees with the number of requests sent, so CI can run it as a
- * correctness gate as well as a benchmark.
+ * Exits nonzero if any response is lost, any acknowledged update is
+ * read back stale or missing (the driver's freshness check), or the
+ * server's served-count disagrees with the number of requests sent,
+ * so CI can run it as a correctness gate as well as a benchmark.
+ *
+ * The in-process row's TM shape and tail cover the measured window
+ * only (runMemslap resets both at its warm→measure edge). The
+ * loopback leg cannot quiesce the server's maintenance from the
+ * client side, so its row is reset before the run and includes the
+ * warm phase.
  *
  * Usage: bench_net [--branch NAME] [--ops N] [--window N]
  *                  [--threads a,b,c] [--shards N] [--ascii]
@@ -38,8 +45,8 @@
  * --connect drives an already-running server on 127.0.0.1:PORT
  * instead of self-hosting (the nightly tail soak's client). The
  * served/sent gate and the bench rows are skipped — the external
- * server's counters are not visible here — but lost responses still
- * fail the run.
+ * server's counters are not visible here — but lost responses and
+ * lost acknowledged updates still fail the run.
  *
  * --timeout-ms bounds every connect and recv (default 10000), so a
  * wedged server fails the gate in seconds instead of hanging CI.
@@ -172,18 +179,23 @@ main(int argc, char **argv)
             cfg.serverPort = connect_port;
             const workload::MemslapResult lb =
                 workload::runMemslapNet(cfg);
-            std::printf("%8u threads %16.0f ops/s %6llu lost\n", n,
-                        lb.opsPerSecond(),
+            std::printf("%8u threads %16.0f ops/s %6llu lost "
+                        "%6llu lost-acked\n",
+                        n, lb.opsPerSecond(),
                         static_cast<unsigned long long>(
-                            lb.lostResponses));
-            conn_ok = conn_ok && lb.lostResponses == 0;
+                            lb.lostResponses),
+                        static_cast<unsigned long long>(
+                            lb.lostAckedUpdates));
+            conn_ok = conn_ok && lb.lostResponses == 0 &&
+                      lb.lostAckedUpdates == 0;
         }
         if (!conn_ok) {
-            std::fprintf(stderr, "bench_net: FAILED (lost "
-                                 "responses)\n");
+            std::fprintf(stderr, "bench_net: FAILED (lost responses "
+                                 "or acknowledged updates)\n");
             return 1;
         }
-        std::printf("bench_net: OK (zero lost responses)\n");
+        std::printf("bench_net: OK (zero lost responses and "
+                    "acknowledged updates)\n");
         return 0;
     }
 
@@ -207,10 +219,6 @@ main(int argc, char **argv)
 
         // One tm+histogram window per topology so each JSON row's
         // tail and abort shape describe only its own run.
-        auto resetObs = [] {
-            tm::Runtime::get().resetStats();
-            obs::MetricsRegistry::get().resetHistograms();
-        };
         auto txShape = [](bench::BenchRow &row) {
             const auto snap = tm::Runtime::get().snapshot();
             if (snap.total.commits == 0)
@@ -234,11 +242,7 @@ main(int argc, char **argv)
         bool row_ok = true;
         for (std::uint32_t trial = 0; trial < trials; ++trial) {
             // ----- In-process --------------------------------------------
-            // serverPort selects network mode inside runMemslap, and
-            // the loopback leg of the previous trial set it.
-            cfg.serverPort = 0;
             tm::Runtime::get().configure(tm::RuntimeCfg{});
-            resetObs();
             mc::Settings settings;
             settings.maxBytes = 64 * 1024 * 1024;
             auto cache =
@@ -250,6 +254,13 @@ main(int argc, char **argv)
             }
             const workload::MemslapResult ip =
                 workload::runMemslap(*cache, cfg);
+            if (ip.lostAckedUpdates != 0) {
+                row_ok = false;
+                std::fprintf(stderr, "  trial %u: inproc lost-acked=%llu\n",
+                             trial,
+                             static_cast<unsigned long long>(
+                                 ip.lostAckedUpdates));
+            }
             if (trial == 0 || ip.seconds < inproc.seconds) {
                 inproc = ip;
                 inprocRow.secs = ip.seconds;
@@ -268,7 +279,8 @@ main(int argc, char **argv)
             // any transaction is in flight.
             cache.reset();
             tm::Runtime::get().configure(tm::RuntimeCfg{});
-            resetObs();
+            tm::Runtime::get().resetStats();
+            obs::MetricsRegistry::get().resetHistograms();
             cache = mc::makeShardedCache(branch, settings, n, shards);
             net::ServerCfg scfg;
             scfg.port = 0;
@@ -350,16 +362,19 @@ main(int argc, char **argv)
             // stop() folded every connection's count into the loops
             // before they were destroyed, so served is final here.
             // Every trial must be lossless, not just the best one.
-            if (lb.lostResponses != 0 || served != sent) {
+            if (lb.lostResponses != 0 || lb.lostAckedUpdates != 0 ||
+                served != sent) {
                 row_ok = false;
                 std::fprintf(stderr,
                              "  trial %u: served=%llu sent=%llu "
-                             "lost=%llu\n",
+                             "lost=%llu lost-acked=%llu\n",
                              trial,
                              static_cast<unsigned long long>(served),
                              static_cast<unsigned long long>(sent),
                              static_cast<unsigned long long>(
-                                 lb.lostResponses));
+                                 lb.lostResponses),
+                             static_cast<unsigned long long>(
+                                 lb.lostAckedUpdates));
             }
         }
         if (!json_path.empty()) {
@@ -396,10 +411,12 @@ main(int argc, char **argv)
         return 1;
     }
     if (!ok) {
-        std::fprintf(stderr, "bench_net: FAILED (lost responses or "
-                             "served/sent mismatch)\n");
+        std::fprintf(stderr, "bench_net: FAILED (lost responses, lost "
+                             "acknowledged updates or served/sent "
+                             "mismatch)\n");
         return 1;
     }
-    std::printf("bench_net: OK (zero lost responses)\n");
+    std::printf("bench_net: OK (zero lost responses and "
+                "acknowledged updates)\n");
     return 0;
 }

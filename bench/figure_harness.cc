@@ -148,36 +148,39 @@ branchSeries(const std::string &branch)
     return SeriesSpec{branch, branch, mc::runtimeCfgFor(branch)};
 }
 
+workload::MemslapResult
+runWorkload(const SeriesSpec &spec, std::uint32_t threads,
+            const HarnessOpts &opts, std::uint32_t trial)
+{
+    tm::Runtime::get().configure(spec.runtime);
+    mc::Settings settings;
+    settings.maxBytes = 256 * 1024 * 1024;
+    auto cache = mc::makeShardedCache(spec.cacheBranch, settings, threads,
+                                      opts.shards);
+    if (cache == nullptr)
+        fatal("unknown branch '%s'", spec.cacheBranch.c_str());
+
+    workload::MemslapCfg w;
+    w.concurrency = threads;
+    w.executeNumber = opts.opsPerThread;
+    w.windowSize = opts.windowSize;
+    w.valueSize = opts.valueSize;
+    w.setFraction = opts.setFraction;
+    w.seed += trial;
+    const auto result = workload::runMemslap(*cache, w);
+    cache.reset();
+    return result;
+}
+
 Cell
 runCell(const SeriesSpec &spec, std::uint32_t threads,
         const HarnessOpts &opts)
 {
+    // Each run reopens the stats window, so the post-loop snapshots
+    // describe exactly the final trial.
     std::vector<double> times;
-    for (std::uint32_t trial = 0; trial < opts.trials; ++trial) {
-        tm::Runtime::get().configure(spec.runtime);
-        tm::Runtime::get().resetStats();
-        // Reset per trial so the post-loop snapshots describe exactly
-        // the final trial (the one whose cache teardown has finished).
-        obs::MetricsRegistry::get().resetHistograms();
-
-        mc::Settings settings;
-        settings.maxBytes = 256 * 1024 * 1024;
-        settings.hashPowerInit = 12;
-        auto cache = mc::makeShardedCache(spec.cacheBranch, settings,
-                                          threads, opts.shards);
-        if (cache == nullptr)
-            fatal("unknown branch '%s'", spec.cacheBranch.c_str());
-
-        workload::MemslapCfg w;
-        w.concurrency = threads;
-        w.executeNumber = opts.opsPerThread;
-        w.windowSize = opts.windowSize;
-        w.valueSize = opts.valueSize;
-        w.setFraction = opts.setFraction;
-        w.seed = 20140301 + trial;
-        const auto result = workload::runMemslap(*cache, w);
-        times.push_back(result.seconds);
-    }
+    for (std::uint32_t trial = 0; trial < opts.trials; ++trial)
+        times.push_back(runWorkload(spec, threads, opts, trial).seconds);
     Cell cell;
     for (double t : times)
         cell.meanSeconds += t;
@@ -285,30 +288,11 @@ runSerializationTable(const std::string &title,
                 "In-Flight Switch", "Start Serial", "Abort Serial");
 
     for (const auto &s : series) {
-        tm::Runtime::get().configure(s.runtime);
-        tm::Runtime::get().resetStats();
-        obs::MetricsRegistry::get().resetHistograms();
-
-        mc::Settings settings;
-        settings.maxBytes = 256 * 1024 * 1024;
-        settings.hashPowerInit = 12;
-        auto cache = mc::makeCache(s.cacheBranch, settings, 4);
-        if (cache == nullptr)
-            fatal("unknown branch '%s'", s.cacheBranch.c_str());
-
-        workload::MemslapCfg w;
-        w.concurrency = 4;
-        w.executeNumber = opts.opsPerThread;
-        w.windowSize = opts.windowSize;
-        w.valueSize = opts.valueSize;
-        w.setFraction = opts.setFraction;
-        const auto result = workload::runMemslap(*cache, w);
-        cache.reset();  // Include maintenance-thread transactions.
-
+        const auto result = runWorkload(s, 4, opts);
         const auto snap = tm::Runtime::get().snapshot();
         std::printf("%s\n", snap.formatTableRow(s.label).c_str());
         if (!opts.jsonPath.empty()) {
-            BenchRow row{opts.benchName, s.label, 4, 1,
+            BenchRow row{opts.benchName, s.label, 4, opts.shards,
                          result.seconds,
                          result.seconds > 0.0
                              ? 4.0 *

@@ -102,6 +102,18 @@ bool writeBenchJson(const std::string &path);
  *  --shards/--json. */
 HarnessOpts parseArgs(int argc, char **argv);
 
+/**
+ * One in-process memslap run of @p spec at @p threads: configure the
+ * runtime, build a fresh cache (opts.shards shards), run the driver
+ * (which opens the TM-stats and histogram window at its warm→measure
+ * edge) with seed + @p trial, and join the cache so the caller's
+ * snapshot includes the maintenance threads' transactions.
+ */
+workload::MemslapResult runWorkload(const SeriesSpec &spec,
+                                    std::uint32_t threads,
+                                    const HarnessOpts &opts,
+                                    std::uint32_t trial = 0);
+
 /** Run one (series, threads) cell: trials x (fresh cache + workload). */
 Cell runCell(const SeriesSpec &spec, std::uint32_t threads,
              const HarnessOpts &opts);

@@ -118,7 +118,7 @@ assocInsert(Ctx &c, AssocState &s, Item *it, std::uint32_t hv)
     Item **bucket = assocBucket(c, s, hv);
     c.store(&it->hNext, c.load(bucket));
     c.store(bucket, it);
-    c.store(&s.itemCount, c.load(&s.itemCount) + 1);
+    c.racyStore(&s.itemCount, c.load(&s.itemCount) + 1);
 }
 
 /**
@@ -138,7 +138,7 @@ assocUnlink(Ctx &c, AssocState &s, Item *it, std::uint32_t hv)
         if (cur == it) {
             c.store(slot, c.load(&it->hNext));
             c.store(&it->hNext, static_cast<Item *>(nullptr));
-            c.store(&s.itemCount, c.load(&s.itemCount) - 1);
+            c.racyStore(&s.itemCount, c.load(&s.itemCount) - 1);
             return true;
         }
         slot = &cur->hNext;
@@ -167,7 +167,7 @@ assocStartExpand(Ctx &c, AssocState &s)
     std::memset(fresh, 0, sizeof(Item *) << (power + 1));
     c.store(&s.old, c.load(&s.primary));
     c.store(&s.primary, fresh);
-    c.store(&s.hashPower, power + 1);
+    c.racyStore(&s.hashPower, power + 1);
     c.store(&s.expandBucket, std::uint64_t{0});
     c.volatileStore(&s.expanding, std::uint64_t{1});
     return true;

@@ -26,7 +26,10 @@
 #define TMEMC_MC_CACHE_H
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -914,13 +917,38 @@ class CacheCore
             if (it != nullptr)
                 return it;
             if (!evictOne(tid, cls)) {
-                // Nothing evictable in this class: ask the rebalancer
-                // to shift a page here, then retry.
-                requestRebalanceFromRichest(cls);
-                std::this_thread::yield();
+                // Nothing evictable in this class: ask the mover to
+                // shift a page here and wait for its answer (a moved
+                // page or a refusal) before retrying. Yielding instead
+                // spends every retry before a mover on another core
+                // has even woken up.
+                const std::uint64_t seen = rebalanceGeneration();
+                if (requestRebalanceFromRichest(cls))
+                    awaitRebalance(seen);
+                else
+                    std::this_thread::yield();
             }
         }
         return nullptr;
+    }
+
+    /** Completed mover passes so far (see awaitRebalance). */
+    std::uint64_t
+    rebalanceGeneration()
+    {
+        std::lock_guard<std::mutex> g(rebalDoneMu_);
+        return rebalDone_;
+    }
+
+    /** Block until the mover finishes a pass begun after @p seen was
+     *  read, or a bounded deadline passes (a mover stuck behind a
+     *  referenced item must not wedge the store). */
+    void
+    awaitRebalance(std::uint64_t seen)
+    {
+        std::unique_lock<std::mutex> ul(rebalDoneMu_);
+        rebalDoneCv_.wait_for(ul, std::chrono::milliseconds(100),
+                              [&] { return rebalDone_ != seen; });
     }
 
     /**
@@ -1095,12 +1123,14 @@ class CacheCore
     // Maintenance: slab rebalance
     // ------------------------------------------------------------------
 
-    void
+    /** @return true if a mover pass is now pending (this request or
+     *  one already in flight); false if no class can give up a page. */
+    bool
     requestRebalanceFromRichest(std::uint32_t dst_cls)
     {
         PlainCtx<cfg> pc;
         if (pc.volatileLoad(&slabs_.rebalSignal) != 0)
-            return;
+            return true;
         // Find the class with the most pages (racy scan is fine; the
         // rebalancer re-validates).
         std::uint32_t best = kMaxSlabClasses;
@@ -1115,11 +1145,12 @@ class CacheCore
             }
         }
         if (best == kMaxSlabClasses)
-            return;
+            return false;
         pc.store(&slabs_.rebalSrc, std::uint64_t{best});
         pc.store(&slabs_.rebalDst, std::uint64_t{dst_cls});
         pc.volatileStore(&slabs_.rebalSignal, std::uint64_t{1});
         policy_.maintWakeUnlocked(pc, MaintDomain::Slab);
+        return true;
     }
 
     void
@@ -1145,6 +1176,14 @@ class CacheCore
             rebalanceOnePage();
             policy_.rebalRelease();
             pc.volatileStore(&slabs_.rebalSignal, std::uint64_t{0});
+            // Report back after the clear: an allocator that reads the
+            // generation and then finds the signal clear files a fresh
+            // request rather than waiting on one that never comes.
+            {
+                std::lock_guard<std::mutex> g(rebalDoneMu_);
+                ++rebalDone_;
+            }
+            rebalDoneCv_.notify_all();
         }
     }
 
@@ -1340,6 +1379,12 @@ class CacheCore
 
     std::uint64_t hashWorkPending_ = 0;  //!< Volatile category.
     std::uint64_t mxCanRun_ = 1;         //!< Volatile category.
+
+    /** Mover completion generation, bumped after every pass (page
+     *  moved or request refused); allocItem waits on it. */
+    std::mutex rebalDoneMu_;
+    std::condition_variable rebalDoneCv_;
+    std::uint64_t rebalDone_ = 0;  //!< Guarded by rebalDoneMu_.
 
     std::thread hashThread_;
     std::thread slabThread_;

@@ -81,6 +81,17 @@ struct PlainCtx
         *p = v;
     }
 
+    /** Store to a word that is also read outside any section (the
+     *  racy hash-expansion pre-check, as in memcached): a relaxed
+     *  atomic here, so those reads do not race with a plain store. */
+    template <typename T>
+    void
+    racyStore(T *p, T v) const
+    {
+        TMEMC_STRICT_RAW(p, "PlainCtx::racyStore");
+        __atomic_store(p, &v, __ATOMIC_RELAXED);
+    }
+
     // -- refcounts: memcached's lock_incr / lock_decr ------------------
     std::uint64_t
     refIncr(std::uint64_t *rc) const
@@ -283,6 +294,14 @@ struct TmCtx
     template <typename T>
     TM_SAFE void
     store(T *p, T v) const
+    {
+        tm::txStore(tx, p, v);
+    }
+
+    /** PlainCtx::racyStore's counterpart: a transactional store. */
+    template <typename T>
+    TM_SAFE void
+    racyStore(T *p, T v) const
     {
         tm::txStore(tx, p, v);
     }

@@ -93,7 +93,8 @@ void
 Runtime::unregisterThread(TxDesc *d)
 {
     std::lock_guard<std::mutex> guard(regLock_);
-    departed_.push_back(d->stats);
+    if (d->statsEpoch.load(std::memory_order_acquire) == statsEpoch())
+        departed_.push_back(d->stats);
     std::erase(threads_, d);
 }
 
@@ -146,8 +147,13 @@ Runtime::snapshot()
         snap.abortsPerThread.push_back(ts.total.aborts);
         snap.commitsPerThread.push_back(ts.total.commits);
     };
-    for (const TxDesc *d : threads_)
-        fold(d->stats);
+    // A block from before the last reset is stale until its owner's
+    // next begin zeroes it.
+    const std::uint64_t epoch = statsEpoch();
+    for (const TxDesc *d : threads_) {
+        if (d->statsEpoch.load(std::memory_order_acquire) == epoch)
+            fold(d->stats);
+    }
     for (const ThreadStats &ts : departed_)
         fold(ts);
     return snap;
@@ -157,8 +163,7 @@ void
 Runtime::resetStats()
 {
     std::lock_guard<std::mutex> guard(regLock_);
-    for (TxDesc *d : threads_)
-        d->stats = ThreadStats{};
+    statsEpoch_.fetch_add(1, std::memory_order_release);
     departed_.clear();
 }
 
@@ -288,6 +293,11 @@ setupTop(Runtime &rt, TxDesc &d, const TxnAttr &attr)
     d.obsStartNs = obs::nowNanos();
     d.obsSerialStartNs = 0;
     d.obsAttempts = 0;
+    const std::uint64_t epoch = rt.statsEpoch();
+    if (d.statsEpoch.load(std::memory_order_acquire) != epoch) {
+        d.stats = ThreadStats{};
+        d.statsEpoch.store(epoch, std::memory_order_release);
+    }
     d.stats.total.txns++;
     d.stats.site(&attr).txns++;
     d.onCommitHandlers.clear();

@@ -83,8 +83,21 @@ class Runtime
     // ------------------------------------------------------------------
     /** Aggregate statistics across live and departed threads. */
     StatsSnapshot snapshot();
-    /** Zero all statistics (between benchmark phases). */
+    /**
+     * Zero all statistics (between benchmark phases). Safe while other
+     * threads are registered, parked or even mid-transaction: it moves
+     * the stats epoch rather than writing their blocks, each thread
+     * zeroes its own block at its next transaction begin, and
+     * snapshot() counts a block only once it has caught up.
+     */
     void resetStats();
+
+    /** Current stats epoch (see resetStats). */
+    std::uint64_t
+    statsEpoch() const
+    {
+        return statsEpoch_.load(std::memory_order_acquire);
+    }
 
   private:
     Runtime();
@@ -97,6 +110,10 @@ class Runtime
     std::mutex regLock_;
     std::vector<TxDesc *> threads_;
     std::vector<ThreadStats> departed_;
+    /** Read by every transaction begin: kept off regLock_'s line,
+     *  which every writer commit's quiesce() takes. */
+    // atom-protocol: release-acquire-pair
+    alignas(64) std::atomic<std::uint64_t> statsEpoch_{0};
     std::uint64_t nextThreadId_ = 1;
 };
 

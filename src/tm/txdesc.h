@@ -173,6 +173,11 @@ class alignas(cachelineBytes) TxDesc
     // ------------------------------------------------------------------
     ExpBackoff cmBackoff;
     ThreadStats stats;
+    /** Runtime stats epoch `stats` belongs to. Only the owner writes
+     *  `stats`: resetStats() moves the runtime's epoch, and the owner
+     *  zeroes its own block at its next setupTop (see resetStats). */
+    // atom-protocol: release-acquire-pair
+    std::atomic<std::uint64_t> statsEpoch{0};
 
     // ------------------------------------------------------------------
     // Opacity recorder (opacity.h; latched per attempt by beginAttempt)

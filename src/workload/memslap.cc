@@ -1,155 +1,355 @@
 /**
  * @file
- * memslap-like driver implementation.
+ * memslap-like driver implementation: one warm+measure loop over a
+ * per-thread Session, and one thin Session per transport.
  */
 
 #include "workload/memslap.h"
 
-#include <atomic>
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <functional>
+#include <memory>
 #include <thread>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "mc/binary_protocol.h"
 #include "net/client.h"
 #include "net/cluster.h"
+#include "obs/metrics.h"
+#include "tm/api.h"
 
 namespace tmemc::workload
 {
 
 void
-formatKey(char *out, std::size_t key_size, std::uint32_t thread,
-          std::uint64_t index)
+formatKey(char *out, std::uint32_t thread, std::uint64_t index)
 {
     // Fixed-width keys, zero-padded, like memslap's generated keys.
-    const int n = std::snprintf(out, key_size + 1, "k%03u-%016llx",
+    const int n = std::snprintf(out, kKeySize + 1, "k%03u-%016llx",
                                 thread,
                                 static_cast<unsigned long long>(index));
-    for (std::size_t i = static_cast<std::size_t>(n); i < key_size; ++i)
+    for (std::size_t i = static_cast<std::size_t>(n); i < kKeySize; ++i)
         out[i] = 'x';
-    out[key_size] = '\0';
+    out[kKeySize] = '\0';
 }
 
 namespace
 {
 
-/** Fill a deterministic printable value. */
+/** No acknowledged write yet / no stamp in the value read. */
+constexpr std::uint64_t kNone = ~0ull;
+
+/** Write stamp "s<seq-hex>-t<thread>" over the head of @p value. */
 void
-formatValue(char *out, std::size_t value_size, std::uint32_t thread,
-            std::uint64_t index)
+stampValue(std::string &value, std::uint32_t thread, std::uint64_t seq)
 {
-    for (std::size_t i = 0; i < value_size; ++i) {
-        out[i] = static_cast<char>('a' + ((thread + index + i) % 26));
-    }
+    char buf[kStampSize + 1];
+    std::snprintf(buf, sizeof(buf), "s%016llx-t%03u",
+                  static_cast<unsigned long long>(seq), thread % 1000);
+    value.replace(0, kStampSize, buf, kStampSize);
 }
 
-/** One network worker's counters. */
-struct NetCounters
+/** Parse the stamp back out; kNone on a foreign value. */
+std::uint64_t
+parseStamp(const char *v, std::size_t n)
 {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t lost = 0;
+    std::uint64_t seq = kNone;
+    if (n >= kStampSize && v[0] == 's')
+        std::from_chars(v + 1, v + 17, seq, 16);
+    return seq;
+}
+
+/** What one session call observed (Lost: no answer, effect unknown). */
+enum class Outcome : std::uint8_t { Ok, Miss, Fail, Lost };
+
+/** One thread's transport, the driver's only view of the target:
+ *  set(key, value), and get(key, seq), which on Ok stores the stamp it
+ *  read. Keys are kKeySize bytes. */
+struct Session
+{
+    std::function<Outcome(const char *, const std::string &)> set;
+    std::function<Outcome(const char *, std::uint64_t &)> get;
 };
 
-/** Issue one SET over the wire; classify the outcome. */
-void
-netSet(net::Client &client, bool binary, const std::string &key,
-       const char *val, std::size_t vlen, NetCounters &ctr)
+/**
+ * memslap --binary over any carrier (mc::binaryExecute in-process,
+ * net::Client over loopback): one frame builder and one reply
+ * classifier for both. @p rt sends a request frame and returns the
+ * reply frame, "" if none arrived.
+ */
+Session
+binarySession(std::function<std::string(const std::string &)> rt)
 {
-    if (binary) {
-        const std::string reply = client.roundTripBinary(
-            mc::binSetRequest(key, std::string(val, vlen)));
-        if (reply.empty()) {
-            ++ctr.lost;
-            return;
-        }
-        mc::BinResponse r;
-        if (mc::binParseResponse(reply, r) == 0 ||
-            r.status != mc::BinStatus::Ok)
-            ++ctr.failures;
-        return;
-    }
-    std::string req = "set " + key + " 0 0 " + std::to_string(vlen) +
-                      "\r\n";
-    req.append(val, vlen);
-    req.append("\r\n");
-    const std::string reply = client.roundTripAscii(req);
-    if (reply.empty())
-        ++ctr.lost;
-    else if (reply != "STORED\r\n")
-        ++ctr.failures;
+    auto call = [rt](const std::string &frame, mc::BinResponse &r) {
+        const std::string reply = rt(frame);
+        if (reply.empty())
+            return Outcome::Lost;
+        return mc::binParseResponse(reply, r) != 0 &&
+                       r.status == mc::BinStatus::Ok
+                   ? Outcome::Ok
+                   : Outcome::Fail;
+    };
+    return {
+        [call](const char *key, const std::string &value) {
+            mc::BinResponse r;
+            return call(
+                mc::binSetRequest(std::string(key, kKeySize), value), r);
+        },
+        [call](const char *key, std::uint64_t &seq) {
+            mc::BinResponse r;
+            const Outcome o = call(
+                mc::binRequest(mc::BinOp::Get, std::string(key, kKeySize)),
+                r);
+            if (o == Outcome::Ok)
+                seq = parseStamp(r.value.data(), r.value.size());
+            return o == Outcome::Fail ? Outcome::Miss : o;
+        }};
 }
 
-/** Issue one GET over the wire; classify the outcome. */
-void
-netGet(net::Client &client, bool binary, const std::string &key,
-       NetCounters &ctr)
+/** In-process: direct CacheIface calls, or binary frames through
+ *  mc::binaryExecute (memslap --binary without the socket). */
+Session
+cacheSession(mc::CacheIface &cache, std::uint32_t t, const MemslapCfg &cfg)
 {
-    if (binary) {
-        const std::string reply = client.roundTripBinary(
-            mc::binRequest(mc::BinOp::Get, key));
-        if (reply.empty()) {
-            ++ctr.lost;
-            return;
-        }
-        mc::BinResponse r;
-        if (mc::binParseResponse(reply, r) != 0 &&
-            r.status == mc::BinStatus::Ok)
-            ++ctr.hits;
-        else
-            ++ctr.misses;
-        return;
+    if (cfg.binaryProtocol) {
+        return binarySession([&cache, t](const std::string &frame) {
+            return mc::binaryExecute(cache, t, frame);
+        });
     }
-    const std::string reply =
-        client.roundTripAscii("get " + key + "\r\n");
-    if (reply.empty())
-        ++ctr.lost;
-    else if (reply.compare(0, 6, "VALUE ") == 0)
-        ++ctr.hits;
+    auto out = std::make_shared<std::vector<char>>(cfg.valueSize);
+    return {
+        [&cache, t](const char *key, const std::string &value) {
+            return cache.store(t, key, kKeySize, value.data(),
+                               value.size()) == mc::OpStatus::Ok
+                       ? Outcome::Ok
+                       : Outcome::Fail;
+        },
+        [&cache, t, out](const char *key, std::uint64_t &seq) {
+            const auto r =
+                cache.get(t, key, kKeySize, out->data(), out->size());
+            if (r.status != mc::OpStatus::Ok)
+                return Outcome::Miss;
+            seq = parseStamp(out->data(), r.vlen);
+            return Outcome::Ok;
+        }};
+}
+
+/** Loopback: one connection, ASCII or binary. A failed connect leaves
+ *  the client closed, so every call then reports Lost. */
+Session
+clientSession(const MemslapCfg &cfg)
+{
+    auto client = std::make_shared<net::Client>();
+    if (client->connect(cfg.serverHost, cfg.serverPort,
+                        cfg.connectTimeoutMs))
+        client->setRecvTimeout(cfg.recvTimeoutMs);
+    if (cfg.binaryProtocol) {
+        return binarySession([client](const std::string &frame) {
+            return client->roundTripBinary(frame);
+        });
+    }
+    return {
+        [client](const char *key, const std::string &value) {
+            const std::string reply = client->roundTripAscii(
+                "set " + std::string(key, kKeySize) + " 0 0 " +
+                std::to_string(value.size()) + "\r\n" + value + "\r\n");
+            if (reply.empty())
+                return Outcome::Lost;
+            return reply == "STORED\r\n" ? Outcome::Ok : Outcome::Fail;
+        },
+        [client](const char *key, std::uint64_t &seq) {
+            const std::string reply = client->roundTripAscii(
+                "get " + std::string(key, kKeySize) + "\r\n");
+            if (reply.empty())
+                return Outcome::Lost;
+            if (reply.compare(0, 6, "VALUE ") != 0)
+                return Outcome::Miss;
+            const std::size_t body = reply.find("\r\n") + 2;
+            seq = parseStamp(reply.data() + body, reply.size() - body);
+            return Outcome::Ok;
+        }};
+}
+
+/** Cluster: an adapter over the shared net::Cluster. NetFail and
+ *  ProtoError leave the outcome unknown, so both report Lost. */
+Session
+clusterSession(net::Cluster &cluster)
+{
+    return {
+        [&cluster](const char *key, const std::string &value) {
+            return cluster.set(std::string(key, kKeySize), value).status ==
+                           net::ClusterStatus::Ok
+                       ? Outcome::Ok
+                       : Outcome::Lost;
+        },
+        [&cluster](const char *key, std::uint64_t &seq) {
+            const net::ClusterResult res =
+                cluster.get(std::string(key, kKeySize));
+            if (res.status == net::ClusterStatus::Miss)
+                return Outcome::Miss;
+            if (res.status != net::ClusterStatus::Ok)
+                return Outcome::Lost;
+            seq = parseStamp(res.value.data(), res.value.size());
+            return Outcome::Ok;
+        }};
+}
+
+/** Count a SET of stamp @p seq; an ack makes it the key's newest. */
+void
+countSet(MemslapResult &r, Outcome o, std::uint64_t &ack, std::uint64_t seq)
+{
+    if (o == Outcome::Ok)
+        ack = seq;
+    else if (o == Outcome::Fail)
+        ++r.failures;
     else
-        ++ctr.misses;
+        ++r.lostResponses;  // Indeterminate: never counted as acked.
 }
 
-/** Sequence-stamped cluster value: "s<seq-hex>-t<thread>" + padding.
- *  The stamp is what makes lost acked updates detectable: every write
- *  of a key carries a strictly increasing sequence, so any read can
- *  be compared against the newest acknowledged one. */
-std::string
-clusterValue(std::uint32_t thread, std::uint64_t seq,
-             std::size_t value_size)
+/** Count a GET that read stamp @p seen. The key's one writer sets in
+ *  order, so the read must be at least as new as its newest ack. */
+void
+countGet(MemslapResult &r, Outcome o, std::uint64_t ack, std::uint64_t seen)
 {
-    char buf[48];
-    const int n = std::snprintf(buf, sizeof(buf), "s%016llx-t%03u",
-                                static_cast<unsigned long long>(seq),
-                                thread);
-    std::string v(buf, static_cast<std::size_t>(n));
-    if (v.size() < value_size)
-        v.append(value_size - v.size(), 'y');
-    return v;
+    if (o == Outcome::Ok) {
+        ++r.hits;
+        if (ack != kNone && seen < ack)
+            ++r.lostAckedUpdates;
+    } else if (o == Outcome::Miss) {
+        ++r.misses;
+        if (ack != kNone)
+            ++r.lostAckedUpdates;
+    } else {
+        ++r.lostResponses;
+    }
 }
 
-/** Parse the sequence stamp back out; ~0 on a foreign value. */
-std::uint64_t
-clusterValueSeq(const std::string &v)
+/** Newest acknowledged stamp per (thread, key index); kNone if none. */
+using AckTable = std::vector<std::vector<std::uint64_t>>;
+
+/** Run body(t) for t in [0, threads) on one thread each; join them. */
+template <typename F>
+void
+onEachThread(std::size_t threads, F body)
 {
-    if (v.empty() || v[0] != 's')
-        return ~0ull;
-    return std::strtoull(v.c_str() + 1, nullptr, 16);
+    std::vector<std::thread> pool;
+    for (std::uint32_t t = 0; t < threads; ++t)
+        pool.emplace_back(body, t);
+    for (auto &th : pool)
+        th.join();
 }
 
-/** No acknowledged write yet for this key. */
-constexpr std::uint64_t kNoAck = ~0ull;
+/**
+ * The driver: preload every thread's window, call @p openWindow (if
+ * set), then run the timed mix. Warm acks count toward the freshness
+ * check too: a write the transport acknowledged must still be there.
+ */
+MemslapResult
+drive(const MemslapCfg &cfg, const std::function<Session(std::uint32_t)> &open,
+      const std::function<void()> &openWindow, AckTable &acked)
+{
+    if (cfg.valueSize < kStampSize)
+        fatal("memslap: valueSize %zu is shorter than the %zu-byte "
+              "sequence stamp every value carries",
+              cfg.valueSize, kStampSize);
+    const std::uint32_t threads = std::max(cfg.concurrency, 1u);
+    std::vector<Session> sessions;
+    for (std::uint32_t t = 0; t < threads; ++t)
+        sessions.push_back(open(t));
+    acked.assign(threads, std::vector<std::uint64_t>(cfg.windowSize,
+                                                     kNone));
+    std::vector<MemslapResult> counts(threads);
+
+    // Warm phase (unmeasured): key i gets stamp i.
+    onEachThread(threads, [&](std::uint32_t t) {
+        char key[kKeySize + 1];
+        std::string value(cfg.valueSize, 'y');
+        MemslapResult c;
+        for (std::uint64_t i = 0; i < cfg.windowSize; ++i) {
+            formatKey(key, t, i);
+            stampValue(value, t, i);
+            countSet(c, sessions[t].set(key, value), acked[t][i], i);
+        }
+        counts[t] = c;
+    });
+
+    if (openWindow)
+        openWindow();
+
+    // Measured phase: op i stamps windowSize + i, so each key's stamps
+    // grow in its writer's program order.
+    WallTimer timer;
+    onEachThread(threads, [&](std::uint32_t t) {
+        XorShift128 rng(cfg.seed * 1315423911u + t);
+        char key[kKeySize + 1];
+        std::string value(cfg.valueSize, 'y');
+        MemslapResult c = counts[t];
+        for (std::uint64_t i = 0; i < cfg.executeNumber; ++i) {
+            const std::uint64_t idx = rng.nextBounded(cfg.windowSize);
+            formatKey(key, t, idx);
+            if (rng.nextDouble() < cfg.setFraction) {
+                const std::uint64_t seq = cfg.windowSize + i;
+                stampValue(value, t, seq);
+                countSet(c, sessions[t].set(key, value), acked[t][idx],
+                         seq);
+            } else {
+                std::uint64_t seen = kNone;
+                const Outcome o = sessions[t].get(key, seen);
+                countGet(c, o, acked[t][idx], seen);
+            }
+        }
+        counts[t] = c;
+    });
+
+    MemslapResult res;
+    res.seconds = timer.elapsedSeconds();
+    res.ops = static_cast<std::uint64_t>(threads) * cfg.executeNumber;
+    for (const MemslapResult &c : counts) {
+        res.hits += c.hits;
+        res.misses += c.misses;
+        res.failures += c.failures;
+        res.lostResponses += c.lostResponses;
+        res.lostAckedUpdates += c.lostAckedUpdates;
+    }
+    return res;
+}
 
 } // namespace
 
 MemslapResult
+runMemslap(mc::CacheIface &cache, const MemslapCfg &cfg)
+{
+    AckTable acked;
+    return drive(
+        cfg, [&](std::uint32_t t) { return cacheSession(cache, t, cfg); },
+        [&] {
+            // The warm→measure edge: let rebalances and expansions the
+            // preload triggered finish, then zero what the tables and
+            // tails read, so the run's snapshot is the measured window.
+            cache.quiesceMaintenance();
+            tm::Runtime::get().resetStats();
+            obs::MetricsRegistry::get().resetHistograms();
+        },
+        acked);
+}
+
+MemslapResult
+runMemslapNet(const MemslapCfg &cfg)
+{
+    AckTable acked;
+    return drive(
+        cfg, [&](std::uint32_t) { return clientSession(cfg); }, nullptr,
+        acked);
+}
+
+MemslapResult
 runMemslapCluster(const MemslapCfg &cfg)
 {
-    const std::uint32_t threads = cfg.concurrency == 0 ? 1
-                                                       : cfg.concurrency;
     net::ClusterCfg ccfg;
     for (const std::string &ep : cfg.clusterNodes) {
         const std::size_t colon = ep.rfind(':');
@@ -170,410 +370,33 @@ runMemslapCluster(const MemslapCfg &cfg)
     ccfg.requestDeadlineMs =
         std::max<std::uint32_t>(cfg.recvTimeoutMs, 8 * cfg.nodeTimeoutMs);
     net::Cluster cluster(ccfg);
-
     const std::uint64_t before_lag = cluster.stats().replica_lag;
 
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> hits{0};
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> misses{0};
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> failures{0};
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> lost{0};
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> lost_acked{0};
+    AckTable acked;
+    MemslapResult res = drive(
+        cfg, [&](std::uint32_t) { return clusterSession(cluster); },
+        nullptr, acked);
 
-    // ------------------------------------------------------------------
-    // Warm phase (unmeasured) — but acks recorded here already count:
-    // a warm write the cluster acknowledged must survive the run too.
-    // ------------------------------------------------------------------
-    std::vector<std::vector<std::uint64_t>> acked(
-        threads,
-        std::vector<std::uint64_t>(cfg.windowSize, kNoAck));
-    {
-        std::vector<std::thread> warmers;
-        for (std::uint32_t t = 0; t < threads; ++t) {
-            warmers.emplace_back([&, t] {
-                std::vector<char> key(cfg.keySize + 1);
-                for (std::uint64_t i = 0; i < cfg.windowSize; ++i) {
-                    formatKey(key.data(), cfg.keySize, t, i);
-                    const auto res = cluster.set(
-                        std::string(key.data(), cfg.keySize),
-                        clusterValue(t, i, cfg.valueSize));
-                    if (res.status == net::ClusterStatus::Ok)
-                        acked[t][i] = i;
-                    else
-                        lost.fetch_add(1, std::memory_order_relaxed);
-                }
-            });
+    // Read-back (unmeasured): every acknowledged key must still read
+    // at its newest ack or later. An unanswered read is inconclusive.
+    std::vector<MemslapResult> readback(acked.size());
+    onEachThread(acked.size(), [&](std::uint32_t t) {
+        const Session session = clusterSession(cluster);
+        char key[kKeySize + 1];
+        for (std::uint64_t i = 0; i < cfg.windowSize; ++i) {
+            if (acked[t][i] == kNone)
+                continue;
+            formatKey(key, t, i);
+            std::uint64_t seen = kNone;
+            countGet(readback[t], session.get(key, seen), acked[t][i],
+                     seen);
         }
-        for (auto &w : warmers)
-            w.join();
-    }
+    });
+    for (const MemslapResult &c : readback)
+        res.lostAckedUpdates += c.lostAckedUpdates;
 
-    // ------------------------------------------------------------------
-    // Measured phase: set/get only (see MemslapCfg::clusterNodes).
-    // ------------------------------------------------------------------
-    WallTimer timer;
-    std::vector<std::thread> workers;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-            XorShift128 rng(cfg.seed * 1315423911u + t);
-            ZipfSampler *zipf = nullptr;
-            ZipfSampler zipf_storage(
-                cfg.zipfTheta > 0 ? cfg.windowSize : 1,
-                cfg.zipfTheta > 0 ? cfg.zipfTheta : 1.0);
-            if (cfg.zipfTheta > 0)
-                zipf = &zipf_storage;
-
-            std::vector<char> key(cfg.keySize + 1);
-            NetCounters ctr;
-            std::uint64_t local_lost_acked = 0;
-            for (std::uint64_t i = 0; i < cfg.executeNumber; ++i) {
-                const std::uint64_t idx =
-                    zipf ? zipf->sample(rng)
-                         : rng.nextBounded(cfg.windowSize);
-                formatKey(key.data(), cfg.keySize, t, idx);
-                const std::string k(key.data(), cfg.keySize);
-                if (rng.nextDouble() < cfg.setFraction) {
-                    const std::uint64_t seq = cfg.windowSize + i;
-                    const auto res = cluster.set(
-                        k, clusterValue(t, seq, cfg.valueSize));
-                    if (res.status == net::ClusterStatus::Ok)
-                        acked[t][idx] = seq;  // Monotonic: same thread.
-                    else
-                        ++ctr.lost;  // Indeterminate, not counted acked.
-                } else {
-                    const auto res = cluster.get(k);
-                    if (res.status == net::ClusterStatus::Ok) {
-                        ++ctr.hits;
-                        // Single-writer key + sequential thread: the
-                        // value read now must be at least as new as
-                        // the newest ack this thread recorded.
-                        const std::uint64_t seen =
-                            clusterValueSeq(res.value);
-                        if (acked[t][idx] != kNoAck &&
-                            seen != ~0ull && seen < acked[t][idx])
-                            ++local_lost_acked;
-                    } else if (res.status == net::ClusterStatus::Miss) {
-                        ++ctr.misses;
-                        if (acked[t][idx] != kNoAck)
-                            ++local_lost_acked;
-                    } else {
-                        ++ctr.lost;
-                    }
-                }
-            }
-            hits.fetch_add(ctr.hits, std::memory_order_relaxed);
-            misses.fetch_add(ctr.misses, std::memory_order_relaxed);
-            failures.fetch_add(ctr.failures, std::memory_order_relaxed);
-            lost.fetch_add(ctr.lost, std::memory_order_relaxed);
-            lost_acked.fetch_add(local_lost_acked,
-                                 std::memory_order_relaxed);
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-    const double measured = timer.elapsedSeconds();
-
-    // ------------------------------------------------------------------
-    // Read-back pass (unmeasured): every key with an acked write must
-    // still be readable at that sequence or newer.
-    // ------------------------------------------------------------------
-    {
-        std::vector<std::thread> readers;
-        for (std::uint32_t t = 0; t < threads; ++t) {
-            readers.emplace_back([&, t] {
-                std::vector<char> key(cfg.keySize + 1);
-                std::uint64_t local_lost_acked = 0;
-                for (std::uint64_t i = 0; i < cfg.windowSize; ++i) {
-                    if (acked[t][i] == kNoAck)
-                        continue;
-                    formatKey(key.data(), cfg.keySize, t, i);
-                    const auto res = cluster.get(
-                        std::string(key.data(), cfg.keySize));
-                    if (res.status == net::ClusterStatus::Ok) {
-                        const std::uint64_t seen =
-                            clusterValueSeq(res.value);
-                        if (seen != ~0ull && seen < acked[t][i])
-                            ++local_lost_acked;
-                    } else if (res.status ==
-                               net::ClusterStatus::Miss) {
-                        ++local_lost_acked;
-                    }
-                    // NetFail read-backs are inconclusive, not lost.
-                }
-                lost_acked.fetch_add(local_lost_acked,
-                                     std::memory_order_relaxed);
-            });
-        }
-        for (auto &r : readers)
-            r.join();
-    }
-
-    MemslapResult res;
-    res.seconds = measured;
-    res.ops = static_cast<std::uint64_t>(threads) * cfg.executeNumber;
-    res.hits = hits.load(std::memory_order_relaxed);
-    res.misses = misses.load(std::memory_order_relaxed);
-    res.failures = failures.load(std::memory_order_relaxed);
-    res.lostResponses = lost.load(std::memory_order_relaxed);
-    res.lostAckedUpdates = lost_acked.load(std::memory_order_relaxed);
     res.clusterStats = cluster.stats();
     res.degradedWrites = res.clusterStats.replica_lag - before_lag;
-    return res;
-}
-
-MemslapResult
-runMemslapNet(const MemslapCfg &cfg)
-{
-    const std::uint32_t threads = cfg.concurrency == 0 ? 1
-                                                       : cfg.concurrency;
-
-    // ------------------------------------------------------------------
-    // Warm phase over the wire (unmeasured).
-    // ------------------------------------------------------------------
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> warm_lost{0};
-    {
-        std::vector<std::thread> warmers;
-        for (std::uint32_t t = 0; t < threads; ++t) {
-            warmers.emplace_back([&, t] {
-                net::Client client;
-                if (!client.connect(cfg.serverHost, cfg.serverPort,
-                                    cfg.connectTimeoutMs)) {
-                    warm_lost.fetch_add(cfg.windowSize,
-                                        std::memory_order_relaxed);
-                    return;
-                }
-                client.setRecvTimeout(cfg.recvTimeoutMs);
-                std::vector<char> key(cfg.keySize + 1);
-                std::vector<char> val(cfg.valueSize);
-                NetCounters ctr;
-                for (std::uint64_t i = 0; i < cfg.windowSize; ++i) {
-                    formatKey(key.data(), cfg.keySize, t, i);
-                    formatValue(val.data(), cfg.valueSize, t, i);
-                    netSet(client, cfg.binaryProtocol,
-                           std::string(key.data(), cfg.keySize),
-                           val.data(), cfg.valueSize, ctr);
-                }
-                warm_lost.fetch_add(ctr.lost, std::memory_order_relaxed);
-            });
-        }
-        for (auto &w : warmers)
-            w.join();
-    }
-
-    // ------------------------------------------------------------------
-    // Measured phase.
-    // ------------------------------------------------------------------
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> hits{0};
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> misses{0};
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> failures{0};
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> lost{0};
-
-    WallTimer timer;
-    std::vector<std::thread> workers;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-            net::Client client;
-            if (!client.connect(cfg.serverHost, cfg.serverPort,
-                                cfg.connectTimeoutMs)) {
-                lost.fetch_add(cfg.executeNumber,
-                               std::memory_order_relaxed);
-                return;
-            }
-            client.setRecvTimeout(cfg.recvTimeoutMs);
-            XorShift128 rng(cfg.seed * 1315423911u + t);
-            ZipfSampler *zipf = nullptr;
-            ZipfSampler zipf_storage(
-                cfg.zipfTheta > 0 ? cfg.windowSize : 1,
-                cfg.zipfTheta > 0 ? cfg.zipfTheta : 1.0);
-            if (cfg.zipfTheta > 0)
-                zipf = &zipf_storage;
-
-            std::vector<char> key(cfg.keySize + 1);
-            std::vector<char> val(cfg.valueSize);
-            NetCounters ctr;
-            for (std::uint64_t i = 0; i < cfg.executeNumber; ++i) {
-                const std::uint64_t idx =
-                    zipf ? zipf->sample(rng)
-                         : rng.nextBounded(cfg.windowSize);
-                formatKey(key.data(), cfg.keySize, t, idx);
-                const std::string k(key.data(), cfg.keySize);
-                const double roll = rng.nextDouble();
-                if (roll < cfg.setFraction) {
-                    formatValue(val.data(), cfg.valueSize, t, idx);
-                    netSet(client, cfg.binaryProtocol, k, val.data(),
-                           cfg.valueSize, ctr);
-                } else if (roll <
-                           cfg.setFraction + cfg.deleteFraction) {
-                    const std::string reply =
-                        cfg.binaryProtocol
-                            ? client.roundTripBinary(mc::binRequest(
-                                  mc::BinOp::Delete, k))
-                            : client.roundTripAscii("delete " + k +
-                                                    "\r\n");
-                    if (reply.empty())
-                        ++ctr.lost;
-                } else {
-                    netGet(client, cfg.binaryProtocol, k, ctr);
-                }
-            }
-            hits.fetch_add(ctr.hits, std::memory_order_relaxed);
-            misses.fetch_add(ctr.misses, std::memory_order_relaxed);
-            failures.fetch_add(ctr.failures,
-                               std::memory_order_relaxed);
-            lost.fetch_add(ctr.lost, std::memory_order_relaxed);
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-
-    MemslapResult res;
-    res.seconds = timer.elapsedSeconds();
-    res.ops = static_cast<std::uint64_t>(threads) * cfg.executeNumber;
-    res.hits = hits.load(std::memory_order_relaxed);
-    res.misses = misses.load(std::memory_order_relaxed);
-    res.failures = failures.load(std::memory_order_relaxed);
-    res.lostResponses = lost.load(std::memory_order_relaxed) + warm_lost.load(std::memory_order_relaxed);
-    return res;
-}
-
-MemslapResult
-runMemslap(mc::CacheIface &cache, const MemslapCfg &cfg)
-{
-    if (!cfg.clusterNodes.empty())
-        return runMemslapCluster(cfg);
-    if (cfg.serverPort != 0)
-        return runMemslapNet(cfg);
-    const std::uint32_t threads = cfg.concurrency == 0 ? 1
-                                                       : cfg.concurrency;
-
-    // ------------------------------------------------------------------
-    // Warm phase: populate each thread's key window (unmeasured).
-    // ------------------------------------------------------------------
-    {
-        std::vector<std::thread> warmers;
-        for (std::uint32_t t = 0; t < threads; ++t) {
-            warmers.emplace_back([&, t] {
-                std::vector<char> key(cfg.keySize + 1);
-                std::vector<char> val(cfg.valueSize);
-                for (std::uint64_t i = 0; i < cfg.windowSize; ++i) {
-                    formatKey(key.data(), cfg.keySize, t, i);
-                    formatValue(val.data(), cfg.valueSize, t, i);
-                    cache.store(t, key.data(), cfg.keySize, val.data(),
-                                cfg.valueSize);
-                }
-            });
-        }
-        for (auto &w : warmers)
-            w.join();
-    }
-
-    // ------------------------------------------------------------------
-    // Measured phase.
-    // ------------------------------------------------------------------
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> hits{0};
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> misses{0};
-    // atom-protocol: relaxed-counter
-    std::atomic<std::uint64_t> failures{0};
-
-    WallTimer timer;
-    std::vector<std::thread> workers;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-            XorShift128 rng(cfg.seed * 1315423911u + t);
-            ZipfSampler *zipf = nullptr;
-            ZipfSampler zipf_storage(
-                cfg.zipfTheta > 0 ? cfg.windowSize : 1,
-                cfg.zipfTheta > 0 ? cfg.zipfTheta : 1.0);
-            if (cfg.zipfTheta > 0)
-                zipf = &zipf_storage;
-
-            std::vector<char> key(cfg.keySize + 1);
-            std::vector<char> val(cfg.valueSize);
-            std::vector<char> out(cfg.valueSize + 64);
-            std::uint64_t local_hits = 0;
-            std::uint64_t local_misses = 0;
-            std::uint64_t local_failures = 0;
-
-            for (std::uint64_t i = 0; i < cfg.executeNumber; ++i) {
-                const std::uint64_t idx =
-                    zipf ? zipf->sample(rng)
-                         : rng.nextBounded(cfg.windowSize);
-                formatKey(key.data(), cfg.keySize, t, idx);
-                const double roll = rng.nextDouble();
-                if (cfg.binaryProtocol) {
-                    // memslap --binary: frame the op, parse the reply.
-                    const std::string k(key.data(), cfg.keySize);
-                    std::string reply;
-                    if (roll < cfg.setFraction) {
-                        formatValue(val.data(), cfg.valueSize, t, idx);
-                        reply = mc::binaryExecute(
-                            cache, t,
-                            mc::binSetRequest(
-                                k, std::string(val.data(),
-                                               cfg.valueSize)));
-                        mc::BinResponse r;
-                        if (mc::binParseResponse(reply, r) == 0 ||
-                            r.status != mc::BinStatus::Ok)
-                            ++local_failures;
-                    } else {
-                        reply = mc::binaryExecute(
-                            cache, t, mc::binRequest(mc::BinOp::Get, k));
-                        mc::BinResponse r;
-                        if (mc::binParseResponse(reply, r) != 0 &&
-                            r.status == mc::BinStatus::Ok)
-                            ++local_hits;
-                        else
-                            ++local_misses;
-                    }
-                    continue;
-                }
-                if (roll < cfg.setFraction) {
-                    formatValue(val.data(), cfg.valueSize, t, idx);
-                    const auto st = cache.store(t, key.data(), cfg.keySize,
-                                                val.data(),
-                                                cfg.valueSize);
-                    if (st != mc::OpStatus::Ok)
-                        ++local_failures;
-                } else if (roll < cfg.setFraction + cfg.arithFraction) {
-                    std::uint64_t v = 0;
-                    cache.arith(t, key.data(), cfg.keySize, 1, true, v);
-                } else if (roll < cfg.setFraction + cfg.arithFraction +
-                                      cfg.deleteFraction) {
-                    cache.del(t, key.data(), cfg.keySize);
-                } else {
-                    const auto r = cache.get(t, key.data(), cfg.keySize,
-                                             out.data(), out.size());
-                    if (r.status == mc::OpStatus::Ok)
-                        ++local_hits;
-                    else
-                        ++local_misses;
-                }
-            }
-            hits.fetch_add(local_hits, std::memory_order_relaxed);
-            misses.fetch_add(local_misses, std::memory_order_relaxed);
-            failures.fetch_add(local_failures, std::memory_order_relaxed);
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-
-    MemslapResult res;
-    res.seconds = timer.elapsedSeconds();
-    res.ops = static_cast<std::uint64_t>(threads) * cfg.executeNumber;
-    res.hits = hits.load(std::memory_order_relaxed);
-    res.misses = misses.load(std::memory_order_relaxed);
-    res.failures = failures.load(std::memory_order_relaxed);
     return res;
 }
 

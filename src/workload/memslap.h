@@ -3,16 +3,31 @@
  * memslap-like workload driver.
  *
  * Reproduces the paper's measurement setup: "We ran memslap with
- * parameters --concurrency=x --execute-number=625000 --binary. We
- * varied the concurrency parameter from 1 to 12 and matched memcached
- * runs with the same number of worker threads". Server and client ran
- * on the same machine so network costs would not hide TM latency; we
- * go one step further and drive the cache in-process, which removes
- * the same non-essential layer while exercising identical cache code.
- *
- * memslap v1.0 defaults reproduced here: 9:1 get:set mix, a window of
- * keys preloaded before measurement, fixed-size keys and values, and
+ * parameters --concurrency=x --execute-number=625000 --binary". The
+ * memslap v1.0 defaults are kept: 9:1 get:set mix, a window of keys
+ * preloaded before measurement, fixed-size keys and values, and
  * per-thread deterministic request streams.
+ *
+ * One warm+measure loop drives three transports, one entry point each:
+ * runMemslap (in-process CacheIface calls, or binary frames through
+ * mc::binaryExecute; the figure harness uses it, as network costs
+ * would hide TM latency), runMemslapNet (one loopback connection per
+ * thread, ASCII or binary) and runMemslapCluster (a net::Cluster).
+ *
+ * Freshness check, on every transport: each value begins with a
+ * sequence stamp, and keys are partitioned by thread (formatKey embeds
+ * the thread id), so each key has one writer issuing its sets in
+ * order. The driver records each key's newest acknowledged stamp; a
+ * GET that returns an older stamp, or misses an acknowledged key,
+ * counts in lostAckedUpdates. The check assumes the target holds every
+ * window (no eviction).
+ *
+ * Measurement window: at the warm→measure edge runMemslap quiesces the
+ * cache's maintenance threads, then zeroes the TM statistics and the
+ * latency histograms, so a snapshot taken after the run covers the
+ * measured operations only. The network entry points cannot quiesce a
+ * server and reset nothing; a caller that resets before them also
+ * counts the warm phase.
  */
 
 #ifndef TMEMC_WORKLOAD_MEMSLAP_H
@@ -28,62 +43,36 @@
 namespace tmemc::workload
 {
 
+/** Key bytes (memslap's default key length). */
+constexpr std::size_t kKeySize = 23;
+
+/** Bytes of the sequence stamp every value starts with. */
+constexpr std::size_t kStampSize = 22;
+
 /** Workload knobs (memslap option names in comments). */
 struct MemslapCfg
 {
     std::uint32_t concurrency = 4;        //!< --concurrency
     std::uint64_t executeNumber = 10000;  //!< --execute-number (per thread)
     double setFraction = 0.1;             //!< memslap default 9:1 get:set
-    std::size_t keySize = 23;             //!< default key bytes
-    std::size_t valueSize = 100;          //!< default value bytes
+    std::size_t valueSize = 100;          //!< >= kStampSize (else fatal)
     std::uint64_t windowSize = 10000;     //!< distinct keys per thread
-    double zipfTheta = 0.0;               //!< 0 = uniform (memslap default)
     std::uint64_t seed = 20140301;        //!< ASPLOS'14 vintage
-    /** Mix in occasional incr/decr and delete traffic (fractions of
-     *  the op budget); memslap does not issue these, so they default
-     *  to 0, but the richer mix is useful for stress tests. */
-    double arithFraction = 0.0;
-    double deleteFraction = 0.0;
     /**
-     * Route every operation through the memcached binary protocol
-     * (request frames in, response frames out), like memslap
-     * --binary. Off by default in the figure harness: the framing
-     * cost is identical across branches and only dilutes the TM
-     * effects being measured.
+     * memslap --binary: frame every operation in the binary protocol
+     * (in-process through mc::binaryExecute). Off in the figure
+     * harness: the framing cost is the same for every branch and only
+     * dilutes the TM effects. The cluster always speaks ASCII.
      */
     bool binaryProtocol = false;
-    /**
-     * Network mode: when serverPort is nonzero, every thread opens a
-     * TCP connection to serverHost:serverPort and drives the wire
-     * protocols instead of the in-process cache — the paper's actual
-     * memslap-over-loopback setup. binaryProtocol selects the wire
-     * format. The CacheIface argument is ignored in this mode.
-     */
+    /** runMemslapNet: the server each thread connects to. */
     std::string serverHost = "127.0.0.1";
     std::uint16_t serverPort = 0;
-    /**
-     * Network-mode deadlines: connect attempts and individual recvs
-     * are bounded by these, so a wedged or shedding server shows up
-     * as lost operations in the result instead of a hung benchmark.
-     * 0 disables the respective bound.
-     */
+    /** Network deadlines (0 = none): a wedged or shedding server shows
+     *  up as lost operations instead of a hung benchmark. */
     std::uint32_t connectTimeoutMs = 5000;
     std::uint32_t recvTimeoutMs = 10000;
-    /**
-     * Cluster mode: when non-empty, every thread drives one shared
-     * net::Cluster over these "host:port" endpoints instead of a
-     * single server (ASCII only; binaryProtocol is ignored). Values
-     * carry a per-key sequence number and each thread remembers the
-     * newest *acknowledged* sequence per key, so a read observing an
-     * older value — or a miss where an acked value must exist — is
-     * counted as a lost acknowledged update, both inline and in a
-     * final read-back pass. Keys are thread-partitioned (formatKey
-     * embeds the thread id), which makes that check sound: each key
-     * has exactly one writer issuing sets sequentially. delete/arith
-     * fractions are ignored in this mode — read-repair uses add, and
-     * deletes would reopen the resurrection window documented in
-     * net/cluster.h.
-     */
+    /** runMemslapCluster: "host:port" endpoints of the cluster. */
     std::vector<std::string> clusterNodes;
     unsigned clusterReplicas = 2;          //!< --replicas
     std::uint32_t nodeTimeoutMs = 250;     //!< --node-timeout-ms
@@ -97,17 +86,16 @@ struct MemslapResult
     std::uint64_t hits = 0;     //!< Get hits.
     std::uint64_t misses = 0;   //!< Get misses.
     std::uint64_t failures = 0; //!< Stores that did not succeed.
-    /** Network mode only: requests whose response never arrived
-     *  (connection error mid-run). Zero on a healthy run. */
+    /** Network transports: requests whose response never arrived
+     *  (connection error or timeout). Zero on a healthy run. */
     std::uint64_t lostResponses = 0;
-    /** Cluster mode only: acknowledged updates later observed lost
-     *  (stale or missing on read). Any nonzero value is a replication
-     *  bug — the chaos gate fails on it. */
+    /** Acknowledged updates later observed lost (stale or missing on
+     *  read; see the file comment). Any nonzero value is a bug. */
     std::uint64_t lostAckedUpdates = 0;
-    /** Cluster mode only: writes acknowledged with fewer than R
-     *  copies (the cluster's replica_lag, scoped to this run). */
+    /** Cluster only: writes acknowledged with fewer than R copies
+     *  (the cluster's replica_lag, scoped to this run). */
     std::uint64_t degradedWrites = 0;
-    /** Cluster mode only: the client's counters at the end of the run
+    /** Cluster only: the client's counters at the end of the run
      *  (the Cluster itself does not outlive runMemslapCluster, so its
      *  metrics source is gone by the time the caller looks). */
     net::ClusterStats clusterStats;
@@ -119,31 +107,20 @@ struct MemslapResult
     }
 };
 
-/**
- * Preload each thread's key window (memslap warms its window before
- * the measured phase), then run `concurrency` threads each executing
- * `executeNumber` operations, and report wall time.
- *
- * When cfg.serverPort is nonzero the run goes over TCP (see
- * MemslapCfg) and @p cache is not touched.
- */
+/** In-process run against @p cache; opens the measurement window
+ *  (see the file comment) between warm-up and the timed phase. */
 MemslapResult runMemslap(mc::CacheIface &cache, const MemslapCfg &cfg);
 
-/**
- * Network-mode run against a live server; the socket-backed analogue
- * of runMemslap. Requires cfg.serverPort != 0.
- */
+/** The same run against a live server over loopback TCP. */
 MemslapResult runMemslapNet(const MemslapCfg &cfg);
 
-/**
- * Cluster-mode run over net::Cluster with acked-update tracking (see
- * MemslapCfg::clusterNodes). Requires clusterNodes non-empty.
- */
+/** The same run over net::Cluster, then an unmeasured read-back of
+ *  every acknowledged key (the node-kill gate's final check). */
 MemslapResult runMemslapCluster(const MemslapCfg &cfg);
 
-/** Generate the deterministic key for (thread, index). */
-void formatKey(char *out, std::size_t key_size, std::uint32_t thread,
-               std::uint64_t index);
+/** Write the deterministic kKeySize-byte key for (thread, index) and a
+ *  terminating NUL to @p out. */
+void formatKey(char *out, std::uint32_t thread, std::uint64_t index);
 
 } // namespace tmemc::workload
 

@@ -38,7 +38,6 @@ profileBranch(const std::string &branch, bool use_serial_lock = true)
     if (!use_serial_lock)
         rcfg.cm = tm::CmKind::NoCM;
     tm::Runtime::get().configure(rcfg);
-    tm::Runtime::get().resetStats();
 
     Settings s;
     s.maxBytes = 16 * 1024 * 1024;
@@ -46,9 +45,11 @@ profileBranch(const std::string &branch, bool use_serial_lock = true)
     auto cache = makeCache(branch, s, 2);
     EXPECT_NE(cache, nullptr);
 
+    // runMemslap zeroes the TM statistics after its warm phase, so the
+    // snapshot covers the 2 x 6000 measured operations only.
     workload::MemslapCfg w;
     w.concurrency = 2;
-    w.executeNumber = 2000;
+    w.executeNumber = 6000;
     w.windowSize = 1000;
     workload::runMemslap(*cache, w);
     cache.reset();  // Join maintenance threads before snapshotting.

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the memslap-like workload driver: determinism, mix
- * accounting, and hit-rate behaviour.
+ * accounting, hit-rate behaviour, the loopback transports, the
+ * measurement window and the value-size check.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstring>
 
 #include "mc/cache_iface.h"
+#include "net/server.h"
 #include "tm/api.h"
 #include "workload/memslap.h"
 
@@ -32,14 +34,14 @@ TEST(Memslap, KeyFormattingIsFixedWidthAndUnique)
 {
     char a[64];
     char b[64];
-    formatKey(a, 23, 0, 1);
-    formatKey(b, 23, 0, 2);
-    EXPECT_EQ(std::strlen(a), 23u);
-    EXPECT_EQ(std::strlen(b), 23u);
+    formatKey(a, 0, 1);
+    formatKey(b, 0, 2);
+    EXPECT_EQ(std::strlen(a), kKeySize);
+    EXPECT_EQ(std::strlen(b), kKeySize);
     EXPECT_STRNE(a, b);
-    formatKey(b, 23, 1, 1);  // Different thread, same index.
+    formatKey(b, 1, 1);  // Different thread, same index.
     EXPECT_STRNE(a, b);
-    formatKey(b, 23, 0, 1);
+    formatKey(b, 0, 1);
     EXPECT_STREQ(a, b);  // Deterministic.
 }
 
@@ -71,6 +73,7 @@ TEST(Memslap, WarmWindowMakesGetsHit)
     EXPECT_EQ(result.misses, 0u);
     EXPECT_GT(result.hits, 0u);
     EXPECT_EQ(result.failures, 0u);
+    EXPECT_EQ(result.lostAckedUpdates, 0u);
 }
 
 TEST(Memslap, MixFractionsRoughlyHonoured)
@@ -86,22 +89,6 @@ TEST(Memslap, MixFractionsRoughlyHonoured)
     const double sets =
         static_cast<double>(ts.cmdSet) - 2 * 1000;  // minus warm phase
     EXPECT_NEAR(sets / 20000.0, 0.3, 0.02);
-}
-
-TEST(Memslap, ArithAndDeleteMixesExercised)
-{
-    auto cache = freshCache();
-    MemslapCfg cfg;
-    cfg.concurrency = 2;
-    cfg.executeNumber = 5000;
-    cfg.windowSize = 500;
-    cfg.setFraction = 0.2;
-    cfg.arithFraction = 0.1;
-    cfg.deleteFraction = 0.1;
-    runMemslap(*cache, cfg);
-    const auto ts = cache->threadStats();
-    EXPECT_GT(ts.incrHits + ts.incrMisses, 0u);
-    EXPECT_GT(ts.deleteHits + ts.deleteMisses, 0u);
 }
 
 TEST(Memslap, DeterministicAcrossRuns)
@@ -123,16 +110,62 @@ TEST(Memslap, DeterministicAcrossRuns)
     EXPECT_EQ(r1.misses, r2.misses);
 }
 
-TEST(Memslap, ZipfSkewsTowardsHotKeys)
+/** A loopback run against an in-process server: every op answered,
+ *  every acknowledged update read back fresh. */
+void
+expectCleanLoopbackRun(bool binary)
 {
-    auto cache = freshCache();
+    auto cache = freshCache("IT-onCommit", 2);
+    net::ServerCfg scfg;
+    scfg.port = 0;
+    scfg.workers = 2;
+    net::Server server(*cache, scfg);
+    ASSERT_TRUE(server.start());
+
+    MemslapCfg cfg;
+    cfg.concurrency = 2;
+    cfg.executeNumber = 1500;
+    cfg.windowSize = 300;
+    cfg.setFraction = 0.3;
+    cfg.binaryProtocol = binary;
+    cfg.serverPort = server.port();
+    const auto r = runMemslapNet(cfg);
+    server.stop();
+    EXPECT_EQ(r.ops, 3000u);
+    EXPECT_EQ(server.requestsServed(), 2 * (300u + 1500u));
+    EXPECT_GT(r.hits, 0u);
+    EXPECT_EQ(r.misses, 0u);
+    EXPECT_EQ(r.failures, 0u);
+    EXPECT_EQ(r.lostResponses, 0u);
+    EXPECT_EQ(r.lostAckedUpdates, 0u);
+}
+
+TEST(Memslap, LoopbackAsciiRunIsClean) { expectCleanLoopbackRun(false); }
+
+TEST(Memslap, LoopbackBinaryRunIsClean) { expectCleanLoopbackRun(true); }
+
+TEST(Memslap, SnapshotCountsOnlyTheMeasuredWindow)
+{
+    // The warm phase stores 1000 keys per thread; one measured op per
+    // thread must leave only a handful of transactions in the window.
+    constexpr std::uint32_t threads = 4;
+    auto cache = freshCache("IT", threads);
+    MemslapCfg cfg;
+    cfg.concurrency = threads;
+    cfg.executeNumber = 1;
+    cfg.windowSize = 1000;
+    runMemslap(*cache, cfg);
+    cache.reset();  // Join the maintainers: their transactions count.
+    const auto snap = tm::Runtime::get().snapshot();
+    EXPECT_LT(snap.total.txns, 100u * threads);
+}
+
+TEST(Memslap, RejectsValuesShorterThanTheStamp)
+{
     MemslapCfg cfg;
     cfg.concurrency = 1;
-    cfg.executeNumber = 5000;
-    cfg.windowSize = 1000;
-    cfg.zipfTheta = 0.99;
-    const auto r = runMemslap(*cache, cfg);
-    EXPECT_EQ(r.misses, 0u);  // Still all preloaded.
+    cfg.valueSize = kStampSize - 1;
+    EXPECT_DEATH(runMemslap(*freshCache(), cfg), "sequence stamp");
 }
 
 } // namespace
