@@ -2,7 +2,8 @@
 """Render tmemc-tail-v1 dumps: per-request timelines + tail blame.
 
 The tail tracer (src/obs/tail.h) keeps the K slowest requests with
-their full parse->exec->tx-attempts->flush span chains; tmemc_server
+their full parse->exec->tx-attempts->flush span chains (plus wait
+spans, e.g. a commit's quiescence wait); tmemc_server
 --tail-json (or the `tail` admin command, or bench_net --tail-json)
 dumps them as:
 
@@ -12,7 +13,8 @@ dumps them as:
                    "total_ns", "overflow",
                    "spans": [{"kind", "shard", "t0_ns", "dur_ns",
                               tx only: "attempt", "outcome",
-                              "serial", "site", "cause"}, ...]}, ...]}
+                              "serial", "site", "cause";
+                              wait only: "cause"}, ...]}, ...]}
 
 This script answers "where did the tail go": it draws an ASCII
 timeline for the slowest requests and aggregates per-shard blame —
@@ -51,7 +53,8 @@ def load(path):
 
 def classify(span):
     """Blame category for one span: abort, serial, flush, or None
-    (time already covered by the enclosing exec span)."""
+    (time already covered by the enclosing exec span — which includes
+    wait spans, since every wait sits inside a tx attempt)."""
     kind = span["kind"]
     if kind == "flush":
         return "flush"
@@ -123,6 +126,8 @@ def print_timeline(req, rank, width=48):
                 label += " [serial]"
             if span.get("cause"):
                 label += " (%s)" % span["cause"]
+        elif span["kind"] == "wait":
+            label = "wait:%s" % span.get("cause", "?")
         else:
             label = span["kind"]
         print("  |%s| %8.1fus %8.1fus  s%-2d %s"
@@ -238,6 +243,15 @@ def selftest():
         ("committed optimistic attempt is work, not blame",
          shards[1]["abort"] == 0 and shards[1]["serial"] == 0),
     ]
+    # A quiescence wait nests inside its tx attempt: it renders as its
+    # own timeline row but must not move any blame bucket.
+    waited = json.loads(json.dumps(doc))
+    waited["requests"][0]["spans"].insert(
+        4, {"kind": "wait", "shard": 3, "t0_ns": 650000,
+            "dur_ns": 40000, "cause": "quiesce"})
+    checks.append(("wait span leaves the blame buckets unchanged",
+                   shard_blame(waited["requests"]) == shards))
+    print_timeline(waited["requests"][0], 0)
     ok = True
     for name, passed in checks:
         print("selftest: %-45s %s"

@@ -8,16 +8,23 @@ Benchmark binaries emit rows via --json (see bench/figure_harness.h):
                "secs": S, "ops_per_sec": R, "p99_us": P,
                "aborts_per_commit": A, "serial_pct": C}, ...]}
 
-Rows are keyed by (bench, branch, threads, shards). Three subcommands:
+Rows are keyed by (bench, branch, threads, shards). Four subcommands:
 
   check       compare current run(s) against a checked-in baseline;
               exits 1 on a throughput regression beyond --threshold
               (default 25%), on a serialization-taxonomy band change,
               or on a baseline row missing from the current run.
   rebaseline  merge run files into a fresh baseline document.
+  ab          paired A/B of two google-benchmark binaries (a base and
+              a head build of the same bench): alternating rounds on
+              one pinned core; exits 1 when, for any benchmark, the
+              head is slower in at least 9 of 10 pairs AND its median
+              time exceeds the base's by more than --max-ratio
+              (default 1.05).
   selftest    verify the gate's own behaviour on synthetic data
               (identity passes, a 2x slowdown fails, a taxonomy shift
-              fails, a missing row fails).
+              fails, a missing row fails, an A/B 2x slowdown fails,
+              A/B noise passes).
 
 The taxonomy bands mirror the paper's serialization story: a branch is
 "none" (serial_pct < 0.5, e.g. the lock-based Baseline), "some"
@@ -37,6 +44,9 @@ single binary's run. CI uses exactly that two-reference form.
 
 import argparse
 import json
+import shutil
+import statistics
+import subprocess
 import sys
 
 
@@ -204,6 +214,70 @@ def cmd_rebaseline(args):
     return 0
 
 
+def ab_verdict(base_times, head_times, max_ratio=1.05, lose_share=0.9):
+    """Paired verdict for one benchmark's per-round times (lower is
+    better). Returns (failed, losses, ratio): the head fails only when
+    it is slower in at least lose_share of the pairs *and* its median
+    exceeds the base's by more than max_ratio — either alone is what
+    noise on a shared runner produces."""
+    pairs = list(zip(base_times, head_times))
+    losses = sum(1 for b, h in pairs if h > b)
+    ratio = statistics.median(head_times) / statistics.median(base_times)
+    failed = losses >= lose_share * len(pairs) and ratio > max_ratio
+    return failed, losses, ratio
+
+
+def run_gbench(binary, bench_filter, cpu):
+    """One run of a google-benchmark binary: {name: real_time_ns}."""
+    cmd = [binary, "--benchmark_filter=" + bench_filter,
+           "--benchmark_format=json"]
+    if cpu is not None and shutil.which("taskset"):
+        cmd = ["taskset", "-c", str(cpu)] + cmd
+    out = subprocess.run(cmd, check=True, capture_output=True,
+                         text=True).stdout
+    scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    return {b["name"]: b["real_time"] * scale[b.get("time_unit", "ns")]
+            for b in json.loads(out)["benchmarks"]}
+
+
+def cmd_ab(args):
+    runs = {"base": [], "head": []}
+    for rnd in range(args.rounds):
+        # Alternate which side runs first so drift over the run
+        # (thermal, a neighbour's load) lands on both sides equally.
+        order = ("base", "head") if rnd % 2 == 0 else ("head", "base")
+        for side in order:
+            binary = args.base if side == "base" else args.head
+            runs[side].append(run_gbench(binary, args.filter, args.cpu))
+    names = sorted(runs["base"][0])
+    failures = []
+    print("%-32s %s" % ("benchmark", "per-round ns base/head ..."))
+    for name in names:
+        base = [r[name] for r in runs["base"]]
+        head = [r[name] for r in runs["head"]]
+        failed, losses, ratio = ab_verdict(base, head, args.max_ratio)
+        print("%-32s %s" % (name, " ".join(
+            "%.1f/%.1f" % pair for pair in zip(base, head))))
+        print("%-32s head slower in %d of %d pairs, median ratio %.3f%s"
+              % ("", losses, len(base), ratio,
+                 "  FAIL" if failed else ""))
+        if failed:
+            failures.append(name)
+    if args.out:
+        with open(args.out, "w") as f:
+            json.dump({"schema": "tmemc-ab-v1", "filter": args.filter,
+                       "rounds": runs, "failures": failures}, f,
+                      indent=2)
+            f.write("\n")
+    if failures:
+        print("\nA/B gate FAILED: %s" % ", ".join(failures),
+              file=sys.stderr)
+        return 1
+    print("\nA/B gate OK (%d benchmarks, %d rounds)"
+          % (len(names), args.rounds))
+    return 0
+
+
 def synthetic(ops_scale=1.0, serial_pct=None, drop=None):
     rows = {
         ("bench_fig4", "Baseline", 4, 1): (2.5e6, 0.0),
@@ -247,6 +321,22 @@ def cmd_selftest(_args):
         if got == want and failures:
             for failure in failures:
                 print("          (expected) " + failure)
+    # Paired A/B: ten rounds of a ~200 ns benchmark with 5% jitter.
+    jitter = [1.00, 1.04, 0.97, 1.02, 0.99, 1.05, 0.96, 1.01, 1.03, 0.98]
+    base_ns = [200.0 * j for j in jitter]
+    ab_cases = [
+        ("A/B identity passes", base_ns, 0),
+        ("A/B 2x slowdown fails", [2 * t for t in base_ns], 1),
+        ("A/B noise passes",
+         [200.0 * j for j in reversed(jitter)], 0),
+        ("A/B 3% slowdown passes (under 1.05x)",
+         [1.03 * t for t in base_ns], 0),
+    ]
+    for name, head_ns, want in ab_cases:
+        got = 1 if ab_verdict(base_ns, head_ns)[0] else 0
+        ok = ok and got == want
+        print("selftest: %-35s %s"
+              % (name, "pass" if got == want else "FAIL"))
     return 0 if ok else 1
 
 
@@ -269,6 +359,21 @@ def main():
     p.add_argument("--out", required=True)
     p.add_argument("inputs", nargs="+")
     p.set_defaults(fn=cmd_rebaseline)
+
+    p = sub.add_parser("ab")
+    p.add_argument("--base", required=True,
+                   help="google-benchmark binary built at the base")
+    p.add_argument("--head", required=True,
+                   help="the same benchmark built at the head")
+    p.add_argument("--filter",
+                   default="BM_EmptyTxn|BM_SingleLocationTxnExpr",
+                   help="--benchmark_filter regex")
+    p.add_argument("--rounds", type=int, default=10)
+    p.add_argument("--cpu", type=int, default=0,
+                   help="core both sides are pinned to (taskset)")
+    p.add_argument("--max-ratio", type=float, default=1.05)
+    p.add_argument("--out", help="write every round as JSON")
+    p.set_defaults(fn=cmd_ab)
 
     p = sub.add_parser("selftest")
     p.set_defaults(fn=cmd_selftest)

@@ -23,7 +23,7 @@
 #include "mc/hash.h"
 #include "obs/hist.h"
 #include "obs/metrics.h"
-#include "obs/tail.h"
+#include "obs/probe.h"
 
 namespace tmemc::mc
 {
@@ -302,8 +302,8 @@ class ShardedCache final : public CacheIface
     }
 
     /**
-     * Per-shard entry point: stamps the shard into the active tail
-     * trace and consults the shard's fault site. Both are one relaxed
+     * Per-shard entry point: stamps the shard into the thread's
+     * probe stream and consults the shard's fault site. Both are one relaxed
      * load when nothing is armed. A delayUs policy stalls here —
      * before the shard's transaction begins, the only place a traced
      * request may block (fault::maybeDelay must never run inside a
@@ -312,7 +312,7 @@ class ShardedCache final : public CacheIface
     void
     enterShard(std::uint32_t s)
     {
-        obs::tail::noteShard(s);
+        obs::probe::emit(obs::probe::Event::Shard, nullptr, s);
         if (fault::enabled())
             fault::maybeDelay(
                 fault::consultSlow(faultSites_[s].c_str()));

@@ -12,7 +12,7 @@
 #include "mc/binary_protocol.h"
 #include "net/sys.h"
 #include "obs/hist.h"
-#include "obs/metrics.h"
+#include "obs/probe.h"
 
 namespace tmemc::net
 {
@@ -199,21 +199,17 @@ Conn::drainFrames(std::uint32_t worker, const ExecFn &exec)
     // Per-command latency: framed request handed to exec() until its
     // reply is in the write buffer. A batched quiet-get run counts as
     // one command — that is the unit of work the executor sees. The
-    // same unit is one tail-tracer request: the trace opens with a
+    // same unit is one tail-tracer request: its chain starts with a
     // parse span back-dated to @p parse_t0 (the stamp taken before
     // framing) and stays pending until the reply's last byte leaves
     // the write buffer (finishTailPending closes the flush span).
     auto timedExec = [&](bool binary, const std::string &frame,
                          std::uint64_t parse_t0) {
-        const std::uint64_t t0 = obs::nowNanos();
-        const std::uint64_t rid = obs::tail::beginRequest(
-            worker, binary, parse_t0 != 0 ? parse_t0 : t0);
+        const obs::probe::Request req =
+            obs::probe::requestBegin(worker, binary, parse_t0);
         exec(worker, binary, frame, wbuf_);
-        obs::hist(obs::HistKind::Command).record(obs::nowNanos() - t0);
-        if (rid != 0) {
-            if (obs::tail::PendingTrace p = obs::tail::endRequest())
-                tailPending_.push_back(std::move(p));
-        }
+        if (obs::tail::PendingTrace p = obs::probe::requestEnd(req))
+            tailPending_.push_back(std::move(p));
     };
     auto flushQuietRun = [&]() {
         if (quietFrames == 0)

@@ -14,10 +14,10 @@
  * gracefully (flushes queued replies) for --drain-ms before exiting.
  * --metrics-json writes the final obs::MetricsRegistry snapshot (the
  * same JSON the `metrics` admin command serves) to PATH after the
- * drain; --trace arms the flight recorder, whose ring is dumped to
- * stderr on panic/fatal.
+ * drain; --trace arms the flight recorder (the obs/probe.h event
+ * rings), which are dumped to stderr on panic/fatal.
  * --tail arms the per-request tail tracer (obs/tail.h): the K slowest
- * requests (--tail-k, default 32 per thread) keep their full
+ * requests (--tail-k, default 32) keep their full
  * parse→flush span chains, served live via `stats tail` or the `tail`
  * admin command and written as tmemc-tail-v1 JSON to --tail-json PATH
  * after the drain (either flag arms the tracer). --slow-shard arms
@@ -42,8 +42,8 @@
 #include "mc/sharded_cache.h"
 #include "net/server.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "obs/tail.h"
-#include "obs/trace.h"
 #include "tm/api.h"
 
 namespace
@@ -139,7 +139,7 @@ main(int argc, char **argv)
     // the GCC-default configuration. Must precede cache creation.
     tm::Runtime::get().configure(mc::runtimeCfgFor(branch));
     if (trace)
-        obs::armTrace();
+        obs::probe::armRing();
     if (tail) {
         obs::tail::armTail(tail_k != 0 ? tail_k
                                        : obs::tail::kDefaultTailK);

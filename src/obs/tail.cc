@@ -1,8 +1,8 @@
 /**
  * @file
- * Tail-tracer implementation: the thread-local request builder, the
- * per-thread top-K reservoirs, the registry that keeps them alive
- * past thread exit, and the ASCII / tmemc-tail-v1 renders.
+ * Tail-tracer implementation: the fold from a probe ring slice to a
+ * span chain, the top-K reservoir, and the ASCII / tmemc-tail-v1
+ * renders.
  */
 
 #include "obs/tail.h"
@@ -12,133 +12,55 @@
 #include <mutex>
 #include <sstream>
 
-#include "obs/hist.h"
-
 namespace tmemc::obs::tail
+{
+
+namespace
 {
 
 const char *
 spanKindName(SpanKind kind)
 {
-    switch (kind) {
-      case SpanKind::Parse:
-        return "parse";
-      case SpanKind::Exec:
-        return "exec";
-      case SpanKind::Tx:
-        return "tx";
-      case SpanKind::Flush:
-        return "flush";
-    }
-    return "?";
+    static const char *const kNames[] = {"parse", "exec", "tx", "wait",
+                                         "flush"};
+    return kNames[static_cast<unsigned>(kind)];
 }
 
 const char *
 txOutcomeName(TxOutcome outcome, bool serial)
 {
-    switch (outcome) {
-      case TxOutcome::None:
-        return "open";
-      case TxOutcome::Commit:
-        return serial ? "serial-commit" : "commit";
-      case TxOutcome::Abort:
-        return "abort";
-      case TxOutcome::Switch:
-        return "serial-switch";
-      case TxOutcome::Promote:
-        return "ro-promote";
-      case TxOutcome::Retry:
-        return "retry";
-    }
-    return "?";
+    static const char *const kNames[] = {"open",       "commit",
+                                         "abort",      "serial-switch",
+                                         "ro-promote", "retry"};
+    if (outcome == TxOutcome::Commit && serial)
+        return "serial-commit";
+    return kNames[static_cast<unsigned>(outcome)];
 }
-
-namespace
-{
 
 /**
- * One thread's reservoir: a min-heap (by total latency) of the K
- * slowest finished requests this thread served. minNs caches the
- * heap minimum once the reservoir is full, so the common case — a
- * request faster than everything kept — is rejected with one relaxed
- * load and no lock. 0 means "not full yet: always take the lock".
+ * The reservoir: a min-heap (by total latency) of the K slowest
+ * finished requests. g_minNs caches the heap minimum once it is full,
+ * so the common case — a request faster than everything kept — is
+ * rejected with one relaxed load and no lock. 0 means "not full yet:
+ * always take the lock". Traces are immutable once offered.
  */
-struct Reservoir
-{
-    std::mutex mu;
-    // atom-protocol: relaxed-ok(lock-free fast-reject floor only; a
-    // stale read just means taking mu, the exact value lives under mu)
-    std::atomic<std::uint64_t> minNs{0};
-    std::vector<PendingTrace> keep;
-};
-
-struct Registry
-{
-    std::mutex mu;
-    std::vector<std::shared_ptr<Reservoir>> reservoirs;
-};
-
-Registry &
-registry()
-{
-    static Registry r;
-    return r;
-}
-
-Reservoir &
-myReservoir()
-{
-    thread_local std::shared_ptr<Reservoir> res = [] {
-        auto r = std::make_shared<Reservoir>();
-        Registry &reg = registry();
-        std::lock_guard<std::mutex> guard(reg.mu);
-        reg.reservoirs.push_back(r);
-        return r;
-    }();
-    return *res;
-}
-
-/** Heap order: smallest total latency at the front, so the cheapest
- *  kept trace is the one a slower newcomer evicts. */
-bool
-slowerThan(const PendingTrace &a, const PendingTrace &b)
-{
-    return a->totalNs() > b->totalNs();
-}
+std::mutex g_keepMu;
+std::vector<PendingTrace> g_keep;
+// atom-protocol: relaxed-ok(lock-free fast-reject floor only; a stale
+// read just means taking g_keepMu, the exact value lives under it)
+std::atomic<std::uint64_t> g_minNs{0};
 
 // atom-protocol: relaxed-counter
 std::atomic<std::uint64_t> g_nextId{1};
 // atom-protocol: relaxed-counter
 std::atomic<std::uint64_t> g_considered{0};
-// atom-protocol: relaxed-ok(config written before g_tailArmed's
-// release store; readers acquire the latch in beginRequestSlow)
+// atom-protocol: relaxed-ok(config written before the probe's tail
+// bit is set with release; readers acquire it in requestBeginSlow)
 std::atomic<std::size_t> g_tailK{kDefaultTailK};
 
 std::mutex g_labelMu;
 std::string g_branchLabel;
 std::string g_algoLabel;
-
-/** The request currently being recorded on this thread, plus the
- *  indices of its open exec / tx spans. Only the owning thread ever
- *  touches it, so recording takes no lock. */
-struct Builder
-{
-    PendingTrace cur;
-    std::ptrdiff_t execIdx = -1;
-    std::ptrdiff_t txIdx = -1;
-    std::uint32_t curShard = 0;
-
-    void
-    reset()
-    {
-        cur.reset();
-        execIdx = -1;
-        txIdx = -1;
-        curShard = 0;
-    }
-};
-
-thread_local Builder tlsBuilder;
 
 std::string
 jsonEscape(const char *s)
@@ -161,175 +83,104 @@ jsonEscape(const char *s)
     return out;
 }
 
+/** Cause an attempt that ended without a TxCause event reports,
+ *  indexed by TxOutcome. */
+const char *const kDefaultCause[] = {nullptr, nullptr, "conflict",
+                                     "unsafe-op", "ro-promotion",
+                                     "tm::retry"};
+
 } // namespace
 
 namespace detail
 {
 
-// atom-protocol: armed-latch
-std::atomic<bool> g_tailArmed{false};
-
 std::uint64_t
-beginRequestSlow(std::uint32_t worker, bool binary,
-                 std::uint64_t parse_t0)
+admitRequest()
 {
-    // Acquire re-read of the latch: synchronizes with armTail()'s
-    // release store, so the g_tailK/reservoir configuration written
-    // before arming is visible to everything this request does. The
-    // caller's relaxed fast-path gate proves nothing about that.
-    if (!g_tailArmed.load(std::memory_order_acquire))
-        return 0;
-    Builder &b = tlsBuilder;
-    // A stale in-flight trace (arm/disarm raced a request) is dropped;
-    // requests on one thread never overlap otherwise.
-    b.reset();
-    const std::uint64_t now = nowNanos();
-    if (parse_t0 == 0 || parse_t0 > now)
-        parse_t0 = now;
-    auto trace = std::make_shared<RequestTrace>();
-    trace->id = g_nextId.fetch_add(1, std::memory_order_relaxed);
-    trace->worker = worker;
-    trace->binary = binary;
-    trace->startNs = parse_t0;
-    Span parse;
-    parse.kind = SpanKind::Parse;
-    parse.t0 = parse_t0;
-    parse.t1 = now;
-    trace->spans.push_back(parse);
-    Span exec;
-    exec.kind = SpanKind::Exec;
-    exec.t0 = now;
-    trace->spans.push_back(exec);
-    b.execIdx = 1;
-    b.cur = std::move(trace);
     g_considered.fetch_add(1, std::memory_order_relaxed);
-    return b.cur->id;
-}
-
-void
-noteShardSlow(std::uint32_t shard)
-{
-    Builder &b = tlsBuilder;
-    if (b.cur == nullptr)
-        return;
-    b.curShard = shard;
-    b.cur->shard = shard;
-}
-
-void
-noteTxBeginSlow(const char *site, bool serial, std::uint32_t attempt)
-{
-    Builder &b = tlsBuilder;
-    if (b.cur == nullptr)
-        return;
-    if (b.cur->spans.size() >= kMaxTailSpans) {
-        b.cur->overflow = true;
-        b.txIdx = -1;
-        return;
-    }
-    Span s;
-    s.kind = SpanKind::Tx;
-    s.t0 = nowNanos();
-    s.site = site;
-    s.serial = serial;
-    s.attempt = attempt;
-    s.shard = b.curShard;
-    b.txIdx = static_cast<std::ptrdiff_t>(b.cur->spans.size());
-    b.cur->spans.push_back(s);
-}
-
-void
-noteTxCauseSlow(const char *cause)
-{
-    Builder &b = tlsBuilder;
-    if (b.cur == nullptr || b.txIdx < 0)
-        return;
-    b.cur->spans[static_cast<std::size_t>(b.txIdx)].cause = cause;
-}
-
-void
-noteTxEndSlow(TxOutcome outcome, bool serial)
-{
-    Builder &b = tlsBuilder;
-    if (b.cur == nullptr || b.txIdx < 0)
-        return;
-    Span &s = b.cur->spans[static_cast<std::size_t>(b.txIdx)];
-    s.t1 = nowNanos();
-    s.outcome = outcome;
-    s.serial = s.serial || serial;
-    s.shard = b.curShard;
-    if (s.cause == nullptr) {
-        switch (outcome) {
-          case TxOutcome::Abort:
-            s.cause = "conflict";
-            break;
-          case TxOutcome::Switch:
-            s.cause = "unsafe-op";
-            break;
-          case TxOutcome::Promote:
-            s.cause = "ro-promotion";
-            break;
-          case TxOutcome::Retry:
-            s.cause = "tm::retry";
-            break;
-          case TxOutcome::Commit:
-          case TxOutcome::None:
-            break;
-        }
-    }
-    b.txIdx = -1;
+    return g_nextId.fetch_add(1, std::memory_order_relaxed);
 }
 
 PendingTrace
-endRequestSlow()
+foldRequest(const probe::Request &req,
+            const std::vector<probe::Record> &recs, bool wrapped,
+            std::uint32_t shard, std::uint64_t end_ns)
 {
-    Builder &b = tlsBuilder;
-    if (b.cur == nullptr)
-        return nullptr;
-    const std::uint64_t now = nowNanos();
-    // An attempt still open here means the tracer was toggled
-    // mid-transaction; leave the span open rather than invent an end.
-    b.txIdx = -1;
-    if (b.execIdx >= 0) {
-        Span &e = b.cur->spans[static_cast<std::size_t>(b.execIdx)];
-        e.t1 = now;
-        e.shard = b.curShard;
+    using probe::Event;
+    auto trace = std::make_shared<RequestTrace>(RequestTrace{
+        .id = req.id, .startNs = req.parseT0, .worker = req.worker,
+        .shard = shard, .binary = req.binary, .overflow = wrapped});
+    std::vector<Span> &spans = trace->spans;
+    spans.push_back(
+        {.t0 = req.parseT0, .t1 = req.t0, .kind = SpanKind::Parse});
+    spans.push_back({.t0 = req.t0, .t1 = end_ns, .shard = shard,
+                     .kind = SpanKind::Exec});
+    // The open attempt's span; -1 when none is open (or it was dropped
+    // at the cap, or its begin fell off a wrapped ring).
+    std::ptrdiff_t tx = -1;
+    for (const probe::Record &r : recs) {
+        const bool closes = r.kind >= Event::TxCommit &&
+                            r.kind <= Event::TxRetry;
+        if (closes && tx >= 0) {
+            Span &s = spans[static_cast<std::size_t>(tx)];
+            s.t1 = r.ns;
+            s.shard = r.shard;
+            // TxCommit..TxRetry run in TxOutcome's Commit..Retry order.
+            s.outcome = static_cast<TxOutcome>(
+                static_cast<unsigned>(r.kind) -
+                static_cast<unsigned>(Event::TxCommit) + 1);
+            s.serial = s.serial || r.serial;
+            if (s.cause == nullptr)
+                s.cause = kDefaultCause[static_cast<unsigned>(s.outcome)];
+        } else if (r.kind == Event::TxCause && tx >= 0) {
+            spans[static_cast<std::size_t>(tx)].cause = r.cause;
+        }
+        if (closes || r.kind == Event::TxBegin)
+            tx = -1;
+        if (r.kind != Event::TxBegin && r.kind != Event::Wait)
+            continue;
+        // Tx and wait spans stop one short of the cap: the flush span
+        // always fits, so even an overflowed chain reads parse..flush.
+        if (spans.size() + 1 >= kMaxTailSpans) {
+            trace->overflow = true;
+        } else if (r.kind == Event::Wait) {
+            spans.push_back({.t0 = r.ns - r.arg, .t1 = r.ns,
+                             .cause = r.site, .shard = r.shard,
+                             .kind = SpanKind::Wait});
+        } else {
+            tx = static_cast<std::ptrdiff_t>(spans.size());
+            spans.push_back({.t0 = r.ns, .site = r.site,
+                             .shard = r.shard, .attempt = r.arg,
+                             .kind = SpanKind::Tx, .serial = r.serial});
+        }
     }
-    if (b.cur->spans.size() < kMaxTailSpans) {
-        Span f;
-        f.kind = SpanKind::Flush;
-        f.t0 = now;
-        f.shard = b.curShard;
-        b.cur->spans.push_back(f);
-    } else {
-        b.cur->overflow = true;
-    }
-    PendingTrace out = std::move(b.cur);
-    b.reset();
-    return out;
+    spans.push_back(
+        {.t0 = end_ns, .shard = shard, .kind = SpanKind::Flush});
+    return trace;
 }
 
 void
 offerTrace(PendingTrace trace)
 {
-    if (trace == nullptr)
-        return;
     const std::size_t k = g_tailK.load(std::memory_order_relaxed);
-    if (k == 0)
+    if (trace == nullptr || k == 0)
         return;
-    Reservoir &r = myReservoir();
-    const std::uint64_t total = trace->totalNs();
-    const std::uint64_t floor = r.minNs.load(std::memory_order_relaxed);
-    if (floor != 0 && total <= floor)
+    const std::uint64_t floor = g_minNs.load(std::memory_order_relaxed);
+    if (floor != 0 && trace->totalNs() <= floor)
         return;  // Faster than everything kept: no lock taken.
-    std::lock_guard<std::mutex> guard(r.mu);
-    r.keep.push_back(std::move(trace));
-    std::push_heap(r.keep.begin(), r.keep.end(), slowerThan);
-    while (r.keep.size() > k) {
-        std::pop_heap(r.keep.begin(), r.keep.end(), slowerThan);
-        r.keep.pop_back();
+    // Heap order: smallest total latency at the front, so the cheapest
+    // kept trace is the one a slower newcomer evicts.
+    auto slowerThan = [](const PendingTrace &a, const PendingTrace &b) {
+        return a->totalNs() > b->totalNs();
+    };
+    std::lock_guard<std::mutex> guard(g_keepMu);
+    g_keep.push_back(std::move(trace));
+    std::push_heap(g_keep.begin(), g_keep.end(), slowerThan);
+    while (g_keep.size() > k) {
+        std::pop_heap(g_keep.begin(), g_keep.end(), slowerThan);
+        g_keep.pop_back();
     }
-    r.minNs.store(r.keep.size() >= k ? r.keep.front()->totalNs() : 0,
+    g_minNs.store(g_keep.size() >= k ? g_keep.front()->totalNs() : 0,
                   std::memory_order_relaxed);
 }
 
@@ -340,14 +191,8 @@ finishRequest(PendingTrace trace, std::uint64_t end_ns)
 {
     if (trace == nullptr)
         return;
-    if (end_ns < trace->startNs)
-        end_ns = trace->startNs;
-    trace->endNs = end_ns;
-    if (!trace->spans.empty()) {
-        Span &last = trace->spans.back();
-        if (last.kind == SpanKind::Flush && last.t1 == 0)
-            last.t1 = end_ns;
-    }
+    trace->endNs = std::max(end_ns, trace->startNs);
+    trace->spans.back().t1 = trace->endNs;  // The fold's open flush span.
     detail::offerTrace(std::move(trace));
 }
 
@@ -358,28 +203,26 @@ armTail(std::size_t k)
                   std::memory_order_relaxed);
     resetTail();
     // Release publishes the K/reservoir configuration written above:
-    // a worker that acquires the latch in beginRequestSlow() must see
-    // it (armed-latch protocol; was relaxed — a worker could trace
-    // against the previous arm's K).
-    detail::g_tailArmed.store(true, std::memory_order_release);
+    // a worker that acquires the latch in requestBeginSlow() must see
+    // it (armed-latch protocol).
+    probe::detail::g_armed.fetch_or(probe::kTailBit,
+                                    std::memory_order_release);
 }
 
 void
 disarmTail()
 {
-    detail::g_tailArmed.store(false, std::memory_order_release);
+    probe::detail::g_armed.fetch_and(
+        static_cast<std::uint8_t>(~probe::kTailBit),
+        std::memory_order_release);
 }
 
 void
 resetTail()
 {
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.mu);
-    for (auto &r : reg.reservoirs) {
-        std::lock_guard<std::mutex> rg(r->mu);
-        r->keep.clear();
-        r->minNs.store(0, std::memory_order_relaxed);
-    }
+    std::lock_guard<std::mutex> guard(g_keepMu);
+    g_keep.clear();
+    g_minNs.store(0, std::memory_order_relaxed);
     g_considered.store(0, std::memory_order_relaxed);
 }
 
@@ -406,18 +249,10 @@ setTailLabel(const std::string &branch, const std::string &algo)
 std::vector<std::shared_ptr<const RequestTrace>>
 snapshotTail()
 {
-    // Copy the reservoir list under the registry lock, then fold each
-    // under its own lock, exactly like the flight recorder's dump.
-    std::vector<std::shared_ptr<Reservoir>> reservoirs;
-    {
-        Registry &reg = registry();
-        std::lock_guard<std::mutex> guard(reg.mu);
-        reservoirs = reg.reservoirs;
-    }
     std::vector<std::shared_ptr<const RequestTrace>> all;
-    for (auto &r : reservoirs) {
-        std::lock_guard<std::mutex> guard(r->mu);
-        all.insert(all.end(), r->keep.begin(), r->keep.end());
+    {
+        std::lock_guard<std::mutex> guard(g_keepMu);
+        all.assign(g_keep.begin(), g_keep.end());
     }
     std::sort(all.begin(), all.end(),
               [](const auto &a, const auto &b) {
@@ -425,9 +260,6 @@ snapshotTail()
                       return a->totalNs() > b->totalNs();
                   return a->id < b->id;
               });
-    const std::size_t k = g_tailK.load(std::memory_order_relaxed);
-    if (all.size() > k)
-        all.resize(k);
     return all;
 }
 
@@ -440,24 +272,25 @@ spanDurNs(const Span &s)
     return s.t1 > s.t0 ? s.t1 - s.t0 : 0;
 }
 
+const char *
+orDash(const char *s)
+{
+    return s != nullptr ? s : "-";
+}
+
 void
 appendSpanAscii(std::ostringstream &os, const Span &s)
 {
-    char buf[192];
     if (s.kind == SpanKind::Tx) {
-        std::snprintf(buf, sizeof(buf), "tx%u:%s:%s:%s:s%u:%llu",
-                      s.attempt, txOutcomeName(s.outcome, s.serial),
-                      s.cause != nullptr ? s.cause : "-",
-                      s.site != nullptr ? s.site : "-", s.shard,
-                      static_cast<unsigned long long>(spanDurNs(s) /
-                                                      1000));
+        os << "tx" << s.attempt << ':'
+           << txOutcomeName(s.outcome, s.serial) << ':' << orDash(s.cause)
+           << ':' << orDash(s.site);
+    } else if (s.kind == SpanKind::Wait) {
+        os << "wait:" << orDash(s.cause);
     } else {
-        std::snprintf(buf, sizeof(buf), "%s:s%u:%llu",
-                      spanKindName(s.kind), s.shard,
-                      static_cast<unsigned long long>(spanDurNs(s) /
-                                                      1000));
+        os << spanKindName(s.kind);
     }
-    os << buf;
+    os << ":s" << s.shard << ':' << spanDurNs(s) / 1000;
 }
 
 } // namespace
@@ -473,15 +306,10 @@ tailAsciiRows()
        << "STAT tail_kept " << traces.size() << "\r\n";
     std::size_t rank = 0;
     for (const auto &t : traces) {
-        char head[160];
-        std::snprintf(head, sizeof(head),
-                      "STAT tail%zu id=%llu worker=%u shard=%u "
-                      "binary=%d total_us=%llu spans=",
-                      rank, static_cast<unsigned long long>(t->id),
-                      t->worker, t->shard, t->binary ? 1 : 0,
-                      static_cast<unsigned long long>(t->totalNs() /
-                                                      1000));
-        os << head;
+        os << "STAT tail" << rank++ << " id=" << t->id
+           << " worker=" << t->worker << " shard=" << t->shard
+           << " binary=" << (t->binary ? 1 : 0)
+           << " total_us=" << t->totalNs() / 1000 << " spans=";
         for (std::size_t i = 0; i < t->spans.size(); ++i) {
             if (i != 0)
                 os << ';';
@@ -490,7 +318,6 @@ tailAsciiRows()
         if (t->overflow)
             os << ";...";
         os << "\r\n";
-        ++rank;
     }
     return os.str();
 }
@@ -499,55 +326,40 @@ std::string
 tailToJson()
 {
     const auto traces = snapshotTail();
-    std::string branch;
-    std::string algo;
+    std::ostringstream os;
     {
         std::lock_guard<std::mutex> guard(g_labelMu);
-        branch = g_branchLabel;
-        algo = g_algoLabel;
+        os << "{\"schema\":\"tmemc-tail-v1\""
+           << ",\"branch\":\"" << jsonEscape(g_branchLabel.c_str())
+           << "\",\"algo\":\"" << jsonEscape(g_algoLabel.c_str()) << "\"";
     }
-    std::ostringstream os;
-    os << "{\"schema\":\"tmemc-tail-v1\""
-       << ",\"branch\":\"" << jsonEscape(branch.c_str()) << "\""
-       << ",\"algo\":\"" << jsonEscape(algo.c_str()) << "\""
-       << ",\"armed\":" << (tailArmed() ? "true" : "false")
-       << ",\"k\":" << tailK()
+    auto boolean = [](bool b) { return b ? "true" : "false"; };
+    os << ",\"armed\":" << boolean(tailArmed()) << ",\"k\":" << tailK()
        << ",\"considered\":" << tailConsidered()
        << ",\"kept\":" << traces.size() << ",\"requests\":[";
-    bool first_req = true;
-    for (const auto &t : traces) {
-        if (!first_req)
-            os << ',';
-        first_req = false;
-        os << "{\"id\":" << t->id << ",\"worker\":" << t->worker
-           << ",\"shard\":" << t->shard
-           << ",\"binary\":" << (t->binary ? "true" : "false")
-           << ",\"start_ns\":" << t->startNs
-           << ",\"total_ns\":" << t->totalNs()
-           << ",\"overflow\":" << (t->overflow ? "true" : "false")
-           << ",\"spans\":[";
-        bool first_span = true;
-        for (const Span &s : t->spans) {
-            if (!first_span)
-                os << ',';
-            first_span = false;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+        const RequestTrace &t = *traces[i];
+        os << (i != 0 ? "," : "") << "{\"id\":" << t.id
+           << ",\"worker\":" << t.worker << ",\"shard\":" << t.shard
+           << ",\"binary\":" << boolean(t.binary)
+           << ",\"start_ns\":" << t.startNs
+           << ",\"total_ns\":" << t.totalNs()
+           << ",\"overflow\":" << boolean(t.overflow) << ",\"spans\":[";
+        for (std::size_t j = 0; j < t.spans.size(); ++j) {
+            const Span &s = t.spans[j];
             // t0 is trace-relative so timelines read from zero.
-            const std::uint64_t rel =
-                s.t0 > t->startNs ? s.t0 - t->startNs : 0;
-            os << "{\"kind\":\"" << spanKindName(s.kind) << "\""
-               << ",\"shard\":" << s.shard << ",\"t0_ns\":" << rel
+            os << (j != 0 ? "," : "") << "{\"kind\":\""
+               << spanKindName(s.kind) << "\",\"shard\":" << s.shard
+               << ",\"t0_ns\":" << (s.t0 > t.startNs ? s.t0 - t.startNs : 0)
                << ",\"dur_ns\":" << spanDurNs(s);
             if (s.kind == SpanKind::Tx) {
-                os << ",\"attempt\":" << s.attempt
-                   << ",\"outcome\":\""
-                   << txOutcomeName(s.outcome, s.serial) << "\""
-                   << ",\"serial\":" << (s.serial ? "true" : "false")
-                   << ",\"site\":\""
-                   << jsonEscape(s.site != nullptr ? s.site : "") << "\""
-                   << ",\"cause\":\""
-                   << jsonEscape(s.cause != nullptr ? s.cause : "")
-                   << "\"";
+                os << ",\"attempt\":" << s.attempt << ",\"outcome\":\""
+                   << txOutcomeName(s.outcome, s.serial)
+                   << "\",\"serial\":" << boolean(s.serial)
+                   << ",\"site\":\"" << jsonEscape(s.site) << "\"";
             }
+            if (s.kind == SpanKind::Tx || s.kind == SpanKind::Wait)
+                os << ",\"cause\":\"" << jsonEscape(s.cause) << "\"";
             os << '}';
         }
         os << "]}";
@@ -562,10 +374,8 @@ writeTailJsonFile(const std::string &path)
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return false;
-    const std::string text = tailToJson();
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-        std::fputc('\n', f) != EOF;
+    const std::string text = tailToJson() + "\n";
+    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
     return std::fclose(f) == 0 && ok;
 }
 

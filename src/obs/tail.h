@@ -1,46 +1,36 @@
 /**
  * @file
  * Per-request tail-latency tracer: request-scoped span chains kept
- * only for the slowest requests, merged on demand.
+ * only for the slowest requests.
  *
  * The histograms in obs/metrics.h say *that* p99 regressed; this
- * tracer says *which requests* and *why*. Conn::drainFrames mints a
- * request ID when a frame becomes executable and records a span chain
- * across the whole serving path — parse, execute, every transaction
- * attempt (with its outcome, abort cause, serial mode and shard), and
- * the I/O-backend flush wait until the reply's last byte left the
- * socket queue. Only requests slow enough for the top-K reservoir
- * survive, so the memory cost is K traces per serving thread, not one
- * per request (the llvm14-ldb tail-latency-debugger shape the ROADMAP
- * asks for).
+ * tracer says *which requests* and *why*. It records nothing itself.
+ * Conn::drainFrames brackets each executor call with
+ * probe::requestBegin / probe::requestEnd, and the request's events —
+ * shard routes, every transaction attempt (outcome, abort cause,
+ * serial mode), quiescence waits — land in the thread's probe ring
+ * like any other. At request end the ring slice written since the
+ * begin is folded into the span chain: parse, exec, one span per
+ * attempt and wait, and the flush span that stays open until the
+ * reply's last byte left the socket queue. Only requests slow enough
+ * for the top-K reservoir survive, so the memory cost is K traces,
+ * not one per request (the llvm14-ldb tail-latency-debugger shape).
  *
- * Cost model mirrors trace.h / fault.h: while disarmed (the default;
- * arm with tmemc_server --tail or obs::tail::armTail()), every hook is
- * one relaxed load of a global flag and a predictable branch. Armed,
- * the per-request state is a thread-local builder (the serving thread
- * owns the request end to end, so no lock is taken while recording),
- * and the reservoir insert takes a per-thread mutex — uncontended
- * except while a snapshot is folding the reservoirs — *after* a
- * relaxed threshold check rejects requests faster than the thread's
- * current K-th slowest without locking anything.
- *
- * Reservoirs outlive their threads, exactly like the flight-recorder
- * rings: the registry keeps shared ownership, so `stats tail` after a
- * worker exited still shows its slow requests.
- *
- * Transactions run outside a traced request (maintenance threads,
- * benches driving the cache in-process) hit the armed fast path and
- * then find no active builder; they record nothing.
+ * Arming sets the probe's tail bit (tmemc_server --tail or
+ * armTail()). The reservoir insert takes one mutex, and only *after*
+ * a relaxed threshold check has rejected every request faster than
+ * the current K-th slowest without locking anything.
  */
 
 #ifndef TMEMC_OBS_TAIL_H
 #define TMEMC_OBS_TAIL_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "obs/probe.h"
 
 namespace tmemc::obs::tail
 {
@@ -52,22 +42,20 @@ enum class SpanKind : std::uint8_t
     Parse,  //!< Frame carved out of the read buffer.
     Exec,   //!< Executor call: dispatch through cache and protocol.
     Tx,     //!< One top-level transaction attempt.
+    Wait,   //!< A wait inside an attempt (cause: what it waited on).
     Flush,  //!< Reply enqueued until its last byte left the out-queue.
 };
 
 /** How a Tx span's attempt ended. */
 enum class TxOutcome : std::uint8_t
 {
-    None,      //!< Span still open (disarm mid-request, crash dump).
+    None,      //!< Still open when the request's slice was folded.
     Commit,    //!< Attempt committed.
     Abort,     //!< Data conflict (or CM decision) rolled it back.
     Switch,    //!< unsafeOp() forced a serial restart.
     Promote,   //!< Invisible-reader fast path promoted to full path.
     Retry,     //!< tm::retry(): rolled back and waited for a commit.
 };
-
-const char *spanKindName(SpanKind kind);
-const char *txOutcomeName(TxOutcome outcome, bool serial);
 
 /** One span. Site/cause are static strings (TxnAttr names, literals);
  *  the span stores the pointer, never a copy. */
@@ -76,7 +64,8 @@ struct Span
     std::uint64_t t0 = 0;        //!< nowNanos() at open.
     std::uint64_t t1 = 0;        //!< nowNanos() at close (0: open).
     const char *site = nullptr;  //!< Tx: attr name.
-    const char *cause = nullptr; //!< Tx: abort/switch/promote cause.
+    const char *cause = nullptr; //!< Tx: abort/switch/promote cause;
+                                 //!< Wait: what was waited on.
     std::uint32_t shard = 0;     //!< Shard routed when the span closed.
     std::uint32_t attempt = 0;   //!< Tx: 1-based attempt number.
     SpanKind kind = SpanKind::Exec;
@@ -88,7 +77,7 @@ struct Span
  *  storm must not grow one trace without bound). */
 constexpr std::size_t kMaxTailSpans = 96;
 
-/** Default reservoir depth per thread (and merged snapshot size). */
+/** Default reservoir depth (the K of `stats tail`). */
 constexpr std::size_t kDefaultTailK = 32;
 
 /** One traced request: identity plus its complete span chain. */
@@ -100,7 +89,8 @@ struct RequestTrace
     std::uint32_t worker = 0;   //!< Event-loop worker index.
     std::uint32_t shard = 0;    //!< Last shard the request routed to.
     bool binary = false;        //!< Protocol of the request frame.
-    bool overflow = false;      //!< Spans dropped past kMaxTailSpans.
+    bool overflow = false;      //!< Spans dropped past kMaxTailSpans,
+                                //!< or the ring wrapped mid-request.
     std::vector<Span> spans;
 
     std::uint64_t totalNs() const { return endNs - startNs; }
@@ -114,19 +104,22 @@ using PendingTrace = std::shared_ptr<RequestTrace>;
 namespace detail
 {
 
-// atom-protocol: armed-latch
-extern std::atomic<bool> g_tailArmed;
+/** Mint the next request id and count the request considered. */
+std::uint64_t admitRequest();
 
-std::uint64_t beginRequestSlow(std::uint32_t worker, bool binary,
-                               std::uint64_t parse_t0);
-void noteShardSlow(std::uint32_t shard);
-void noteTxBeginSlow(const char *site, bool serial,
-                     std::uint32_t attempt);
-void noteTxCauseSlow(const char *cause);
-void noteTxEndSlow(TxOutcome outcome, bool serial);
-PendingTrace endRequestSlow();
+/**
+ * Build @p req's trace from the ring records written since its
+ * begin: parse [parseT0, t0], exec [t0, end_ns], one span per tx
+ * attempt and wait, and an open flush span at @p end_ns. @p wrapped:
+ * the ring overwrote part of the slice. @p shard: the last shard the
+ * request routed to.
+ */
+PendingTrace foldRequest(const probe::Request &req,
+                         const std::vector<probe::Record> &recs,
+                         bool wrapped, std::uint32_t shard,
+                         std::uint64_t end_ns);
 
-/** Direct reservoir insert, bypassing the builder: the unit tests
+/** Direct reservoir insert, bypassing the fold: the unit tests
  *  drive top-K/merge/wraparound invariants with fabricated traces. */
 void offerTrace(PendingTrace trace);
 
@@ -136,85 +129,24 @@ void offerTrace(PendingTrace trace);
 inline bool
 tailArmed()
 {
-    return detail::g_tailArmed.load(std::memory_order_relaxed);
-}
-
-/**
- * Start tracing a request on this thread. @p parse_t0 is the stamp
- * taken before framing began; the parse span covers [parse_t0, now]
- * and the exec span opens at now. Returns the minted request ID, or 0
- * while disarmed (no state was touched).
- */
-inline std::uint64_t
-beginRequest(std::uint32_t worker, bool binary, std::uint64_t parse_t0)
-{
-    if (!tailArmed())
-        return 0;
-    return detail::beginRequestSlow(worker, binary, parse_t0);
-}
-
-/** The request routed to @p shard (stamped into subsequent spans). */
-inline void
-noteShard(std::uint32_t shard)
-{
-    if (tailArmed())
-        detail::noteShardSlow(shard);
-}
-
-/** A top-level transaction attempt began on this thread. */
-inline void
-noteTxBegin(const char *site, bool serial, std::uint32_t attempt)
-{
-    if (tailArmed())
-        detail::noteTxBeginSlow(site, serial, attempt);
-}
-
-/** Why the open attempt is about to end (switch blame, promotion
- *  cause, conflict). @p cause must be a static string. */
-inline void
-noteTxCause(const char *cause)
-{
-    if (tailArmed())
-        detail::noteTxCauseSlow(cause);
-}
-
-/** The open attempt ended. @p serial: it ran serial-irrevocable. */
-inline void
-noteTxEnd(TxOutcome outcome, bool serial)
-{
-    if (tailArmed())
-        detail::noteTxEndSlow(outcome, serial);
-}
-
-/**
- * Execution finished; the reply is queued but not yet on the wire.
- * Closes the exec span, opens the flush span, and detaches the trace
- * from the thread (a new request may begin). Returns null while
- * disarmed or when no request was being traced.
- */
-inline PendingTrace
-endRequest()
-{
-    if (!tailArmed())
-        return nullptr;
-    return detail::endRequestSlow();
+    return (probe::armed() & probe::kTailBit) != 0;
 }
 
 /**
  * The connection's out-queue drained (or the connection died) at
  * @p end_ns: close the flush span and offer the finished trace to
- * this thread's reservoir. Null @p trace is ignored.
+ * the reservoir. Null @p trace is ignored.
  */
 void finishRequest(PendingTrace trace, std::uint64_t end_ns);
 
-/** Arm the tracer with per-thread reservoir depth @p k (also resets
- *  all reservoirs and the considered/kept counters). */
+/** Arm the tracer with reservoir depth @p k (also resets the
+ *  reservoir and the considered/kept counters). */
 void armTail(std::size_t k = kDefaultTailK);
 
-/** Disarm; reservoirs keep their contents for a later dump. */
+/** Disarm; the reservoir keeps its contents for a later dump. */
 void disarmTail();
 
-/** Discard every reservoir's contents and counters (test isolation). */
+/** Discard the reservoir's contents and counters (test isolation). */
 void resetTail();
 
 /** Reservoir depth currently armed (or last armed). */
@@ -228,9 +160,9 @@ std::uint64_t tailConsidered();
 void setTailLabel(const std::string &branch, const std::string &algo);
 
 /**
- * Merge every thread's reservoir into the K slowest traces overall,
- * slowest first. Traces are immutable once offered, so the returned
- * pointers are safe to render without any lock.
+ * The kept traces (at most K), slowest first. Traces are immutable
+ * once offered, so the returned pointers are safe to render without
+ * any lock.
  */
 std::vector<std::shared_ptr<const RequestTrace>> snapshotTail();
 
@@ -239,7 +171,7 @@ std::vector<std::shared_ptr<const RequestTrace>> snapshotTail();
  * rows, then one "STAT tail<rank> id=... spans=..." row per kept
  * request, slowest first. Span tokens are ';'-joined, each
  * "<kind>:<detail>:s<shard>:<dur_us>" — e.g.
- * "tx1:abort:conflict:mc.assoc.set:s3:412".
+ * "tx1:abort:conflict:mc.assoc.set:s3:412" or "wait:quiesce:s3:40".
  */
 std::string tailAsciiRows();
 

@@ -22,6 +22,7 @@
 #ifndef TMEMC_TM_ATTR_H
 #define TMEMC_TM_ATTR_H
 
+#include <atomic>
 #include <cstdint>
 
 namespace tmemc::tm
@@ -54,7 +55,8 @@ enum class SerialCause : std::uint8_t
 /**
  * Static description of a transaction site (one __transaction_* block
  * in the source). Instances are expected to have static storage
- * duration; the runtime keys per-site profiling off their addresses.
+ * duration (or live in a node map that is never erased); the runtime
+ * keys per-site profiling off their addresses.
  */
 struct TxnAttr
 {
@@ -78,6 +80,14 @@ struct TxnAttr
      * to the full path and re-executes.
      */
     bool readOnlyHint = false;
+    /**
+     * Dense per-site statistics index plus one, assigned on the
+     * site's first transaction (0: not yet; see tm/stats.h). Written
+     * once, under the slot registry lock. The atomic makes TxnAttr
+     * non-copyable, which it never needed to be.
+     */
+    // atom-protocol: release-acquire-pair
+    mutable std::atomic<std::uint32_t> statSlot{0};
 };
 
 /** Function annotations from the specification (+ GCC's extension). */

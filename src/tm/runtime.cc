@@ -13,8 +13,7 @@
 #include "common/logging.h"
 #include "obs/hist.h"
 #include "obs/metrics.h"
-#include "obs/tail.h"
-#include "obs/trace.h"
+#include "obs/probe.h"
 #include "tm/api.h"
 #include "tm/strict.h"
 
@@ -29,21 +28,11 @@ Runtime::Runtime() : home_(RuntimeCfg{}.orecTableBits)
     // (snapshot() copies the source list first), so taking regLock_
     // inside Runtime::snapshot() is safe.
     obs::MetricsRegistry::get().registerSource("tm", [this] {
-        const StatsSnapshot snap = this->snapshot();
-        const StatBlock &t = snap.total;
-        return std::vector<obs::Counter>{
-            {"txns", t.txns},
-            {"commits", t.commits},
-            {"aborts", t.aborts},
-            {"retries", t.retries},
-            {"start_serial", t.startSerial},
-            {"inflight_switch", t.inflightSwitch},
-            {"abort_serial", t.abortSerial},
-            {"serial_commits", t.serialCommits},
-            {"readonly_commits", t.readOnlyCommits},
-            {"rofast_commits", t.roFastCommits},
-            {"rofast_promotions", t.roPromotions},
-        };
+        const StatBlock total = this->snapshot().total;
+        std::vector<obs::Counter> out;
+        for (const StatField &f : kStatFields)
+            out.push_back({f.name, total.*f.field});
+        return out;
     });
 }
 
@@ -94,7 +83,7 @@ Runtime::unregisterThread(TxDesc *d)
 {
     std::lock_guard<std::mutex> guard(regLock_);
     if (d->statsEpoch.load(std::memory_order_acquire) == statsEpoch())
-        departed_.push_back(d->stats);
+        d->stats.foldInto(departed_);
     std::erase(threads_, d);
 }
 
@@ -110,6 +99,9 @@ Runtime::quiesce(TxDomain *domain, std::uint64_t commit_time,
     // Pairs with the fence in TxDesc::publishStart: the commit's orec
     // and clock stores are ordered before the pubStart loads below.
     std::atomic_thread_fence(std::memory_order_seq_cst);
+    // Stamped at the first spin only: a wait-free quiesce (the common
+    // case) reads no clock and emits nothing.
+    std::uint64_t wait_t0 = 0;
     for (TxDesc *other : threads_) {
         if (other == self)
             continue;
@@ -126,8 +118,16 @@ Runtime::quiesce(TxDomain *domain, std::uint64_t commit_time,
             // transaction or one that already unpublished.
             if (other->domain.load(std::memory_order_relaxed) != domain)
                 break;
+            if (wait_t0 == 0 && obs::probe::armed() != 0)
+                wait_t0 = obs::nowNanos();
             std::this_thread::yield();
         }
+    }
+    if (wait_t0 != 0) {
+        const std::uint64_t spun = obs::nowNanos() - wait_t0;
+        obs::probe::emit(obs::probe::Event::Wait, "quiesce",
+                         static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                             spun, UINT32_MAX)));
     }
 }
 
@@ -135,27 +135,15 @@ StatsSnapshot
 Runtime::snapshot()
 {
     std::lock_guard<std::mutex> guard(regLock_);
-    StatsSnapshot snap;
-    auto fold = [&](const ThreadStats &ts) {
-        snap.total.add(ts.total);
-        for (const auto &[attr, block] : ts.perSite)
-            snap.perSite[attr].add(block);
-        for (const auto &[attr, causes] : ts.switchBlame) {
-            for (const auto &[what, count] : causes)
-                snap.switchBlame[attr][what] += count;
-        }
-        snap.abortsPerThread.push_back(ts.total.aborts);
-        snap.commitsPerThread.push_back(ts.total.commits);
-    };
+    StatsSnapshot snap = departed_;
     // A block from before the last reset is stale until its owner's
-    // next begin zeroes it.
+    // next begin zeroes it. Live owners keep counting during the fold;
+    // ThreadStats makes that read race-free.
     const std::uint64_t epoch = statsEpoch();
     for (const TxDesc *d : threads_) {
         if (d->statsEpoch.load(std::memory_order_acquire) == epoch)
-            fold(d->stats);
+            d->stats.foldInto(snap);
     }
-    for (const ThreadStats &ts : departed_)
-        fold(ts);
     return snap;
 }
 
@@ -164,7 +152,7 @@ Runtime::resetStats()
 {
     std::lock_guard<std::mutex> guard(regLock_);
     statsEpoch_.fetch_add(1, std::memory_order_release);
-    departed_.clear();
+    departed_ = StatsSnapshot{};
 }
 
 // ---------------------------------------------------------------------
@@ -224,7 +212,7 @@ violation(const void *addr, const char *what)
     // Leave the event tail on stderr even when the recorder was not
     // armed via --trace: the rings may still hold records from an
     // earlier armed window, and the dump header orients the reader.
-    const std::string tail = obs::dumpTrace();
+    const std::string tail = obs::probe::dumpRing();
     std::fputs("tm-strict: flight recorder tail follows\n", stderr);
     std::fputs(tail.empty() ? "(flight recorder empty)\n" : tail.c_str(),
                stderr);
@@ -270,6 +258,82 @@ DomainScope::~DomainScope()
 namespace detail
 {
 
+using obs::probe::Event;
+
+/**
+ * The one call each lifecycle point makes: bump this thread's stats
+ * for @p ev, record the Tx/TxSerial/TxAttempts histograms on commit,
+ * and feed the probe stream. @p cause: the unsafe op or promotion
+ * trigger of a TxCause event (a static string). A template so each
+ * call site compiles to its own event's work only.
+ */
+template <Event ev>
+void
+txEvent(Runtime &rt, TxDesc &d, const char *cause = nullptr)
+{
+    const TxnAttr &attr = *d.attr;
+    ThreadStats &st = d.stats;
+    LiveBlock &site = st.site(attr);
+    auto bump = [&](Stat s) {
+        st.total.bump(s);
+        site.bump(s);
+    };
+    bool serial = d.state == RunState::SerialIrrevocable;
+    switch (ev) {
+      case Event::TxBegin:
+        serial = d.pendingSerialRestart || rt.cfg().algo == AlgoKind::Serial;
+        if (d.obsAttempts == 1)
+            bump(Stat::Txns);
+        break;
+      case Event::TxCommit: {
+        bump(Stat::Commits);
+        // SerialCause Start..Abort map onto StartSerial..AbortSerial.
+        if (d.serialCause != SerialCause::None) {
+            bump(static_cast<Stat>(static_cast<unsigned>(Stat::StartSerial) +
+                                   static_cast<unsigned>(d.serialCause) - 1));
+        }
+        if (serial) {
+            bump(Stat::SerialCommits);
+        } else if (d.roFast) {
+            bump(Stat::ReadOnlyCommits);
+            bump(Stat::RoFastCommits);
+        } else if (rt.algo().isReadOnly(d)) {
+            bump(Stat::ReadOnlyCommits);
+        }
+        const std::uint64_t end_ns = obs::nowNanos();
+        obs::hist(obs::HistKind::Tx).record(end_ns - d.obsStartNs);
+        if (d.obsSerialStartNs != 0) {
+            obs::hist(obs::HistKind::TxSerial)
+                .record(end_ns - d.obsSerialStartNs);
+        }
+        // Attempts are scaled by 1000 so the histogram's microsecond-
+        // named quantiles read directly as attempt counts (see
+        // obs/metrics.h).
+        obs::hist(obs::HistKind::TxAttempts)
+            .record(std::uint64_t{d.obsAttempts} * 1000);
+        break;
+      }
+      case Event::TxAbort:
+        bump(Stat::Aborts);
+        break;
+      case Event::TxPromote:
+        bump(Stat::RoPromotions);
+        break;
+      case Event::TxRetry:
+        bump(Stat::Retries);
+        break;
+      case Event::TxCause:
+        // unsafeOp() flags the switch before emitting its cause; a
+        // promotion trigger is not serialization blame.
+        if (d.abortIsSwitch)
+            st.blame(attr, cause);
+        break;
+      default:
+        break;
+    }
+    obs::probe::emit(ev, attr.name, d.obsAttempts, cause, serial);
+}
+
 void
 setupTop(Runtime &rt, TxDesc &d, const TxnAttr &attr)
 {
@@ -295,11 +359,9 @@ setupTop(Runtime &rt, TxDesc &d, const TxnAttr &attr)
     d.obsAttempts = 0;
     const std::uint64_t epoch = rt.statsEpoch();
     if (d.statsEpoch.load(std::memory_order_acquire) != epoch) {
-        d.stats = ThreadStats{};
+        d.stats.clear();
         d.statsEpoch.store(epoch, std::memory_order_release);
     }
-    d.stats.total.txns++;
-    d.stats.site(&attr).txns++;
     d.onCommitHandlers.clear();
     d.onAbortHandlers.clear();
     d.commitFrees.clear();
@@ -319,11 +381,10 @@ beginAttempt(Runtime &rt, TxDesc &d)
     // Latch the opacity recorder before any lock wait or access: the
     // begin stamp may only predate the attempt's first access.
     opacity::beginRecord(d);
-    obs::traceRecord(obs::TraceEvent::TxBegin, d.attr->name);
-    // Tail span opens before any lock wait: a serial attempt's wait
-    // for the write lock is part of the serialization cost the span
-    // must attribute.
-    obs::tail::noteTxBegin(d.attr->name, serial, d.obsAttempts);
+    // Emitted before any lock wait: a serial attempt's wait for the
+    // write lock is part of the serialization cost its tail span must
+    // attribute.
+    txEvent<Event::TxBegin>(rt, d);
     if (serial) {
         // Serial-mode time includes the wait for the write lock: that
         // wait is part of the serialization cost the paper measures.
@@ -401,50 +462,7 @@ finishCommit(Runtime &rt, TxDesc &d)
     opacity::finishRecord(d, /*committed=*/true,
                           d.state == RunState::SerialIrrevocable,
                           d.roFast);
-    StatBlock &site = d.stats.site(d.attr);
-    d.stats.total.commits++;
-    site.commits++;
-    switch (d.serialCause) {
-      case SerialCause::Start:
-        d.stats.total.startSerial++;
-        site.startSerial++;
-        break;
-      case SerialCause::InFlight:
-        d.stats.total.inflightSwitch++;
-        site.inflightSwitch++;
-        break;
-      case SerialCause::Abort:
-        d.stats.total.abortSerial++;
-        site.abortSerial++;
-        break;
-      case SerialCause::None:
-        break;
-    }
-    if (d.state == RunState::SerialIrrevocable) {
-        d.stats.total.serialCommits++;
-        site.serialCommits++;
-    } else if (d.roFast) {
-        d.stats.total.readOnlyCommits++;
-        site.readOnlyCommits++;
-        d.stats.total.roFastCommits++;
-        site.roFastCommits++;
-    } else if (rt.algo().isReadOnly(d)) {
-        d.stats.total.readOnlyCommits++;
-        site.readOnlyCommits++;
-    }
-    const std::uint64_t end_ns = obs::nowNanos();
-    obs::hist(obs::HistKind::Tx).record(end_ns - d.obsStartNs);
-    if (d.obsSerialStartNs != 0) {
-        obs::hist(obs::HistKind::TxSerial)
-            .record(end_ns - d.obsSerialStartNs);
-    }
-    // Attempts are scaled by 1000 so the histogram's microsecond-named
-    // quantiles read directly as attempt counts (see obs/metrics.h).
-    obs::hist(obs::HistKind::TxAttempts)
-        .record(std::uint64_t{d.obsAttempts} * 1000);
-    obs::traceRecord(obs::TraceEvent::TxCommit, d.attr->name);
-    obs::tail::noteTxEnd(obs::tail::TxOutcome::Commit,
-                         d.state == RunState::SerialIrrevocable);
+    txEvent<Event::TxCommit>(rt, d);
 
     d.state = RunState::Inactive;
     d.nesting = 0;
@@ -464,11 +482,15 @@ finishCommit(Runtime &rt, TxDesc &d)
     d.onCommitHandlers.runAndClear();
 }
 
-void
-handleAbort(Runtime &rt, TxDesc &d)
+/**
+ * Undo the running speculative attempt: roll back, unpublish, close
+ * the opacity record, reclaim speculative allocations and run the
+ * onAbort handlers. @return whether it ran on the invisible-reader
+ * fast path.
+ */
+bool
+rollbackAttempt(Runtime &rt, TxDesc &d)
 {
-    if (d.state == RunState::SerialIrrevocable)
-        panic("serial-irrevocable transaction '%s' aborted", d.attr->name);
     const bool was_ro_fast = d.roFast;
     d.roFast = false;
     rt.algo().rollback(rt, d);
@@ -481,30 +503,33 @@ handleAbort(Runtime &rt, TxDesc &d)
                           was_ro_fast);
     d.state = RunState::Inactive;
     d.nesting = 0;
-
-    // Reclaim speculative allocations.
     for (void *p : d.abortFrees)
         std::free(p);
     d.abortFrees.clear();
     d.commitFrees.clear();
-
     d.onAbortHandlers.runAndClear();
     d.onCommitHandlers.clear();
+    return was_ro_fast;
+}
 
+void
+handleAbort(Runtime &rt, TxDesc &d)
+{
+    if (d.state == RunState::SerialIrrevocable)
+        panic("serial-irrevocable transaction '%s' aborted", d.attr->name);
+    const bool was_ro_fast = rollbackAttempt(rt, d);
     if (d.abortIsSwitch) {
         // The rollback exists only to restart in serial mode; it does
         // not feed the contention manager.
+        txEvent<Event::TxSwitch>(rt, d);
         d.abortIsSwitch = false;
-        obs::tail::noteTxEnd(obs::tail::TxOutcome::Switch, false);
         return;
     }
     if (was_ro_fast && d.roPromote) {
         // Promotion, not a conflict: the body needs write-path
         // machinery the fast path lacks. The retry runs fully
         // instrumented; the contention manager is not consulted.
-        d.stats.total.roPromotions++;
-        d.stats.site(d.attr).roPromotions++;
-        obs::tail::noteTxEnd(obs::tail::TxOutcome::Promote, false);
+        txEvent<Event::TxPromote>(rt, d);
         return;
     }
     if (was_ro_fast) {
@@ -515,10 +540,7 @@ handleAbort(Runtime &rt, TxDesc &d)
         d.roPromote = true;
     }
 
-    obs::traceRecord(obs::TraceEvent::TxAbort, d.attr->name);
-    obs::tail::noteTxEnd(obs::tail::TxOutcome::Abort, false);
-    d.stats.total.aborts++;
-    d.stats.site(d.attr).aborts++;
+    txEvent<Event::TxAbort>(rt, d);
     d.consecAborts++;
     if (rt.cm().afterAbort(rt, d) && !d.pendingSerialRestart) {
         d.pendingSerialRestart = true;
@@ -530,8 +552,7 @@ handleAbort(Runtime &rt, TxDesc &d)
 void
 promoteRoFast(TxDesc &d, const char *what)
 {
-    obs::traceRecord(obs::TraceEvent::TxAbort, what);
-    obs::tail::noteTxCause(what);
+    txEvent<Event::TxCause>(Runtime::get(), d, what);
     d.roPromote = true;
     throw TxAbort{};
 }
@@ -552,25 +573,7 @@ handleRetry(Runtime &rt, TxDesc &d)
     TxDomain &dom = d.dom();
     const bool norec = rt.cfg().algo == AlgoKind::NOrec;
     const std::uint64_t seen = norec ? d.norecSnapshot : d.startTime;
-
-    const bool was_ro_fast = d.roFast;
-    d.roFast = false;
-    rt.algo().rollback(rt, d);
-    d.unpublishStart();
-    if (rt.cfg().useSerialLock)
-        dom.serialLock.readUnlock();
-    opacity::finishRecord(d, /*committed=*/false, /*serial=*/false,
-                          was_ro_fast);
-    d.state = RunState::Inactive;
-    d.nesting = 0;
-    for (void *p : d.abortFrees)
-        std::free(p);
-    d.abortFrees.clear();
-    d.commitFrees.clear();
-    d.onAbortHandlers.runAndClear();
-    d.onCommitHandlers.clear();
-    d.stats.total.retries++;
-    d.stats.site(d.attr).retries++;
+    rollbackAttempt(rt, d);
 
     // Wait for any writer commit in this domain since that snapshot.
     // A full implementation would watch only the read set's orecs;
@@ -582,9 +585,9 @@ handleRetry(Runtime &rt, TxDesc &d)
     while ((norec ? dom.norecSeq.load(std::memory_order_acquire)
                   : dom.clock.load(std::memory_order_acquire)) == seen)
         std::this_thread::yield();
-    // Closed after the wait: the blocked time is the retry's cost,
+    // Emitted after the wait: the blocked time is the retry's cost,
     // and the tail span chain must show where it went.
-    obs::tail::noteTxEnd(obs::tail::TxOutcome::Retry, false);
+    txEvent<Event::TxRetry>(rt, d);
 }
 
 } // namespace detail
@@ -622,13 +625,11 @@ unsafeOp(TxDesc &d, const char *what)
         d.serialCause == SerialCause::Start) {
         d.serialCause = SerialCause::InFlight;
     }
-    // Record what forced the switch (the diagnostic the paper had to
-    // build into GCC via execinfo).
-    obs::traceRecord(obs::TraceEvent::TxSerialSwitch, what);
-    obs::tail::noteTxCause(what);
-    d.stats.switchBlame[d.attr][what]++;
     d.pendingSerialRestart = true;
     d.abortIsSwitch = true;
+    // Record what forced the switch (the diagnostic the paper had to
+    // build into GCC via execinfo).
+    detail::txEvent<detail::Event::TxCause>(Runtime::get(), d, what);
     throw TxAbort{};
 }
 

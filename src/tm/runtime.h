@@ -109,7 +109,8 @@ class Runtime
 
     std::mutex regLock_;
     std::vector<TxDesc *> threads_;
-    std::vector<ThreadStats> departed_;
+    /** Counts folded from threads that exited in this epoch. */
+    StatsSnapshot departed_;
     /** Read by every transaction begin: kept off regLock_'s line,
      *  which every writer commit's quiesce() takes. */
     // atom-protocol: release-acquire-pair

@@ -1,19 +1,27 @@
 /**
  * @file
- * Statistics formatting: the Tables 1-4 row renderer and the per-site
- * profile report.
+ * Per-thread live statistics (site slots, site blocks, blame map, the
+ * snapshot fold) and the formatting: the Tables 1-4 row renderer and
+ * the per-site profile report.
  */
 
 #include "tm/stats.h"
 
 #include <cstdio>
+#include <mutex>
 #include <sstream>
+
+#include "common/logging.h"
 
 namespace tmemc::tm
 {
 
 namespace
 {
+
+/** Site slot registry: slot - 1 indexes the attr that owns it. */
+std::mutex g_slotMu;
+std::vector<const TxnAttr *> g_slotAttrs;
 
 /** Render "count (pct%)" in the paper's table style. */
 std::string
@@ -33,6 +41,87 @@ countWithPct(std::uint64_t count, std::uint64_t denom)
 }
 
 } // namespace
+
+void
+LiveBlock::clear()
+{
+    for (auto &c : n)
+        c.store(0, std::memory_order_relaxed);
+}
+
+bool
+LiveBlock::addTo(StatBlock &out) const
+{
+    bool any = false;
+    for (std::size_t i = 0; i < kStatCount; ++i) {
+        const std::uint64_t v = n[i].load(std::memory_order_relaxed);
+        out.*kStatFields[i].field += v;
+        any = any || v != 0;
+    }
+    return any;
+}
+
+ThreadStats::~ThreadStats()
+{
+    for (auto &b : sites_)
+        delete b.load(std::memory_order_acquire);
+}
+
+std::uint32_t
+ThreadStats::assignSlot(const TxnAttr &attr)
+{
+    std::lock_guard<std::mutex> guard(g_slotMu);
+    std::uint32_t slot = attr.statSlot.load(std::memory_order_acquire);
+    if (slot != 0)
+        return slot;  // Another thread assigned it first.
+    if (g_slotAttrs.size() >= kMaxSites)
+        panic("more than %zu transaction sites", kMaxSites);
+    g_slotAttrs.push_back(&attr);
+    slot = static_cast<std::uint32_t>(g_slotAttrs.size());
+    attr.statSlot.store(slot, std::memory_order_release);
+    return slot;
+}
+
+void
+ThreadStats::blame(const TxnAttr &attr, const char *what)
+{
+    std::lock_guard<std::mutex> guard(blameMu_);
+    blame_[&attr][what]++;
+}
+
+void
+ThreadStats::clear()
+{
+    total.clear();
+    for (auto &b : sites_) {
+        if (LiveBlock *site = b.load(std::memory_order_acquire))
+            site->clear();
+    }
+    std::lock_guard<std::mutex> guard(blameMu_);
+    blame_.clear();
+}
+
+void
+ThreadStats::foldInto(StatsSnapshot &snap) const
+{
+    StatBlock sum;
+    total.addTo(sum);
+    snap.total.add(sum);
+    snap.abortsPerThread.push_back(sum.aborts);
+    snap.commitsPerThread.push_back(sum.commits);
+    std::lock_guard<std::mutex> guard(g_slotMu);
+    for (std::size_t i = 0; i < g_slotAttrs.size(); ++i) {
+        const LiveBlock *b = sites_[i].load(std::memory_order_acquire);
+        StatBlock site;
+        if (b != nullptr && b->addTo(site))
+            snap.perSite[g_slotAttrs[i]].add(site);
+    }
+    std::lock_guard<std::mutex> blame_guard(blameMu_);
+    for (const auto &[attr, causes] : blame_) {
+        for (const auto &[what, count] : causes)
+            snap.switchBlame[attr][what] += count;
+    }
+}
 
 std::string
 StatsSnapshot::formatTableRow(const std::string &branch_name) const

@@ -3,9 +3,9 @@
  * Transaction statistics, including the serialization-cause taxonomy
  * the paper reports in Tables 1-4.
  *
- * Counters are kept per thread (padded, no sharing on the hot path) and
- * aggregated on demand. In addition to global counters we keep a
- * per-site profile keyed by TxnAttr address; this stands in for the
+ * Counters are kept per thread (single writer, no sharing on the hot
+ * path) and aggregated on demand. In addition to global counters we
+ * keep a per-site profile keyed by TxnAttr; this stands in for the
  * execinfo-based profiling extension the authors added to GCC's TM
  * ("Expect Limited Tool Support", Section 6).
  */
@@ -13,8 +13,11 @@
 #ifndef TMEMC_TM_STATS_H
 #define TMEMC_TM_STATS_H
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,47 +42,140 @@ struct StatBlock
     std::uint64_t retries = 0;         //!< tm::retry() waits.
 
     /** Accumulate another block into this one. */
-    void
-    add(const StatBlock &o)
-    {
-        txns += o.txns;
-        commits += o.commits;
-        aborts += o.aborts;
-        startSerial += o.startSerial;
-        inflightSwitch += o.inflightSwitch;
-        abortSerial += o.abortSerial;
-        serialCommits += o.serialCommits;
-        readOnlyCommits += o.readOnlyCommits;
-        roFastCommits += o.roFastCommits;
-        roPromotions += o.roPromotions;
-        retries += o.retries;
-    }
+    void add(const StatBlock &o);
 };
 
-/** Per-thread statistics, attached to a TxDesc. */
-struct ThreadStats
+/** The StatBlock counters, in field order. */
+enum class Stat : std::uint8_t
 {
-    StatBlock total;
-    /** Per-site profile; TxnAttr instances are static, so keying on
-     *  the pointer is stable. Only touched outside the measurement
-     *  fast path at begin/commit/abort. */
-    std::map<const TxnAttr *, StatBlock> perSite;
+    Txns,
+    Commits,
+    Aborts,
+    StartSerial,
+    InflightSwitch,
+    AbortSerial,
+    SerialCommits,
+    ReadOnlyCommits,
+    RoFastCommits,
+    RoPromotions,
+    Retries,
+};
 
-    /**
-     * Serialization blame: for each site, how many in-flight switches
-     * each unsafe operation caused. This is the diagnostic the paper's
-     * authors had to hack into GCC with execinfo ("manually diagnosing
-     * the causes of aborts and serialization ... was challenging").
-     * Keys are the string literals passed to unsafeOp().
-     */
-    std::map<const TxnAttr *, std::map<const char *, std::uint64_t>>
-        switchBlame;
+constexpr std::size_t kStatCount = 11;
 
-    StatBlock &
-    site(const TxnAttr *attr)
+/** StatBlock field for each Stat, with its metrics name ("tm_"
+ *  prefixed in `stats tm` and the metrics JSON). */
+struct StatField
+{
+    const char *name;
+    std::uint64_t StatBlock::*field;
+};
+
+inline constexpr StatField kStatFields[kStatCount] = {
+    {"txns", &StatBlock::txns},
+    {"commits", &StatBlock::commits},
+    {"aborts", &StatBlock::aborts},
+    {"start_serial", &StatBlock::startSerial},
+    {"inflight_switch", &StatBlock::inflightSwitch},
+    {"abort_serial", &StatBlock::abortSerial},
+    {"serial_commits", &StatBlock::serialCommits},
+    {"readonly_commits", &StatBlock::readOnlyCommits},
+    {"rofast_commits", &StatBlock::roFastCommits},
+    {"rofast_promotions", &StatBlock::roPromotions},
+    {"retries", &StatBlock::retries},
+};
+
+inline void
+StatBlock::add(const StatBlock &o)
+{
+    for (const StatField &f : kStatFields)
+        this->*f.field += o.*f.field;
+}
+
+/**
+ * A StatBlock its owning thread updates while snapshots read it. Only
+ * the owner writes, with a relaxed load and store (no read-modify-
+ * write); a snapshot on another thread reads relaxed and may see a
+ * count one bump behind.
+ */
+struct LiveBlock
+{
+    // atom-protocol: relaxed-ok(single writer; a reader tolerates a
+    // count one bump stale, and the stats epoch orders resets)
+    std::atomic<std::uint64_t> n[kStatCount] = {};
+
+    void
+    bump(Stat s)
     {
-        return perSite[attr];
+        const auto i = static_cast<std::size_t>(s);
+        n[i].store(n[i].load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
     }
+    void clear();
+    /** Add into @p out; @return false if every counter read 0. */
+    bool addTo(StatBlock &out) const;
+};
+
+struct StatsSnapshot;
+
+/**
+ * Per-thread statistics, attached to a TxDesc. Only the owning thread
+ * writes them; Runtime::snapshot() folds them from another thread
+ * while the owner keeps running. Per-site blocks are allocated on
+ * first use and indexed by the site's dense TxnAttr::statSlot, so a
+ * bump is an array index, not a map lookup. Serialization blame —
+ * which unsafe operation forced each site's in-flight switches, the
+ * diagnostic the paper's authors had to hack into GCC with execinfo —
+ * changes only on a switch, so it is a map under a per-thread mutex.
+ */
+class ThreadStats
+{
+  public:
+    ThreadStats() = default;
+    ThreadStats(const ThreadStats &) = delete;
+    ThreadStats &operator=(const ThreadStats &) = delete;
+    ~ThreadStats();
+
+    /** The thread's totals. Owner writes only. */
+    LiveBlock total;
+
+    /** @p attr's block, allocated on first use. Owner only. */
+    LiveBlock &
+    site(const TxnAttr &attr)
+    {
+        std::uint32_t slot = attr.statSlot.load(std::memory_order_acquire);
+        if (slot == 0)
+            slot = assignSlot(attr);
+        LiveBlock *b = sites_[slot - 1].load(std::memory_order_acquire);
+        if (b == nullptr) {
+            b = new LiveBlock;
+            sites_[slot - 1].store(b, std::memory_order_release);
+        }
+        return *b;
+    }
+
+    /** One more in-flight switch of @p attr forced by @p what (a
+     *  static string). */
+    void blame(const TxnAttr &attr, const char *what);
+
+    /** Zero every counter. Owner only, before it publishes a new
+     *  stats epoch. */
+    void clear();
+
+    /** Add this thread's counts into @p snap. Any thread, while the
+     *  owner is registered with the runtime. */
+    void foldInto(StatsSnapshot &snap) const;
+
+  private:
+    static constexpr std::size_t kMaxSites = 1024;
+
+    static std::uint32_t assignSlot(const TxnAttr &attr);
+
+    // atom-protocol: release-acquire-pair
+    std::atomic<LiveBlock *> sites_[kMaxSites] = {};
+    mutable std::mutex blameMu_;
+    std::map<const TxnAttr *, std::map<const char *, std::uint64_t>>
+        blame_;
 };
 
 /** Aggregated snapshot across all registered threads. */

@@ -1,20 +1,21 @@
 /**
  * @file
  * Tests for the MetricsRegistry (source registration, the three
- * render targets, JSON file round-trip) and the flight recorder
- * (arm/record/dump/reset). Both are process-global singletons, so
- * every test restores the state it touched — histograms via
- * resetHistograms(), sources via unregisterSource, the trace rings
- * via disarmTrace()+resetTrace().
+ * render targets, JSON file round-trip) and the probe's flight
+ * recorder (arm/record/dump/reset). Both are process-global
+ * singletons, so every test restores the state it touched —
+ * histograms via resetHistograms(), sources via unregisterSource, the
+ * probe rings via disarmRing()+resetRing().
  */
 
 #include <cstdio>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/probe.h"
 #include "tm/api.h"
 
 namespace tmemc::obs
@@ -231,67 +232,86 @@ TEST_F(MetricsTest, TxHistogramRecordsCommits)
     EXPECT_EQ(snap.hists[unsigned(HistKind::TxSerial)].count, 0u);
 }
 
+using probe::Event;
+
+/** Records the ring dump lists (one "t=..." line each). */
+std::size_t
+ringRecords()
+{
+    std::istringstream in(probe::dumpRing());
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);)
+        n += line.rfind("t=", 0) == 0 ? 1 : 0;
+    return n;
+}
+
 class TraceTest : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        disarmTrace();
-        resetTrace();
+        probe::disarmRing();
+        probe::resetRing();
     }
     void TearDown() override
     {
-        disarmTrace();
-        resetTrace();
+        probe::disarmRing();
+        probe::resetRing();
     }
 };
 
 TEST_F(TraceTest, DisarmedRecordsNothing)
 {
-    EXPECT_FALSE(traceArmed());
-    traceRecord(TraceEvent::TxBegin, "site_a");
-    EXPECT_EQ(traceRecordCount(), 0u);
+    EXPECT_EQ(probe::armed(), 0u);
+    probe::emit(Event::TxBegin, "site_a");
+    EXPECT_EQ(ringRecords(), 0u);
 }
 
 TEST_F(TraceTest, ArmedRecordsAndDumps)
 {
-    armTrace();
-    EXPECT_TRUE(traceArmed());
-    traceRecord(TraceEvent::TxBegin, "site_a");
-    traceRecord(TraceEvent::TxSerialSwitch, "site_b", 3);
-    traceRecord(TraceEvent::TxCommit, "site_a");
-    EXPECT_EQ(traceRecordCount(), 3u);
+    probe::armRing();
+    EXPECT_EQ(probe::armed(), probe::kRingBit);
+    probe::emit(Event::TxBegin, "site_a");
+    probe::emit(Event::Shard, nullptr, 3);
+    probe::emit(Event::TxCause, "site_b", 1, "unsafe_b");
+    probe::emit(Event::TxSwitch, "site_b");
+    probe::emit(Event::TxCommit, "site_a");
+    EXPECT_EQ(ringRecords(), 5u);
 
-    const std::string dump = dumpTrace();
-    EXPECT_TRUE(contains(dump, traceEventName(TraceEvent::TxBegin)))
+    const std::string dump = probe::dumpRing();
+    EXPECT_TRUE(contains(dump, probe::eventName(Event::TxBegin)))
         << dump;
-    EXPECT_TRUE(contains(dump, "site=site_b")) << dump;
-    EXPECT_TRUE(contains(dump, "shard=3")) << dump;
+    EXPECT_TRUE(contains(dump, "tx_serial_switch site=site_b shard=3"))
+        << dump;
+    EXPECT_TRUE(contains(dump, "cause=unsafe_b")) << dump;
 
     // Disarm keeps contents for a post-mortem dump; reset drops them.
-    disarmTrace();
-    traceRecord(TraceEvent::TxAbort, "site_c");
-    EXPECT_EQ(traceRecordCount(), 3u);
-    resetTrace();
-    EXPECT_EQ(traceRecordCount(), 0u);
+    probe::disarmRing();
+    probe::emit(Event::TxAbort, "site_c");
+    EXPECT_EQ(ringRecords(), 5u);
+    probe::resetRing();
+    EXPECT_EQ(ringRecords(), 0u);
+    EXPECT_EQ(probe::dumpRing(), "");
 }
 
 TEST_F(TraceTest, RingWrapsAtCapacity)
 {
-    armTrace();
-    for (std::size_t i = 0; i < kTraceCapacity + 100; ++i)
-        traceRecord(TraceEvent::TxCommit, "wrap");
-    EXPECT_EQ(traceRecordCount(), kTraceCapacity);
+    probe::armRing();
+    for (std::size_t i = 0; i < probe::kRingCapacity + 100; ++i)
+        probe::emit(Event::TxCommit, "wrap");
+    EXPECT_EQ(ringRecords(), probe::kRingCapacity);
+    EXPECT_TRUE(contains(probe::dumpRing(), "100 older records overwritten"));
 }
 
 TEST_F(TraceTest, RuntimeEmitsTraceEventsWhenArmed)
 {
-    armTrace();
+    probe::armRing();
     commitOneTxn(kTraceAttr);
 
-    const std::string dump = dumpTrace();
+    const std::string dump = probe::dumpRing();
     EXPECT_TRUE(contains(dump, "site=obs_trace_test")) << dump;
-    EXPECT_TRUE(contains(dump, traceEventName(TraceEvent::TxCommit)))
+    EXPECT_TRUE(contains(dump, probe::eventName(Event::TxBegin))) << dump;
+    EXPECT_TRUE(contains(dump, probe::eventName(Event::TxCommit)))
         << dump;
 }
 

@@ -2,14 +2,17 @@
  * @file
  * Tail tracer tests: reservoir invariants with fabricated traces
  * (top-K under serial and concurrent insert, eviction floor,
- * arm/disarm toggling), span-chain recording through the real TM
- * runtime (serial-switch attribution), and an end-to-end server
- * round trip where a fault-injected slow shard must surface in
- * `stats tail` with its complete parse→flush chain.
+ * arm/disarm toggling), the fold from probe ring slices to span
+ * chains through the real TM runtime (serial-switch attribution, ring
+ * wrap, agreement with the ring dump, quiescence waits), and an
+ * end-to-end server round trip where a fault-injected slow shard must
+ * surface in `stats tail` with its complete parse→flush chain.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/hist.h"
+#include "obs/probe.h"
 #include "obs/tail.h"
 #include "tm/api.h"
 
@@ -33,6 +37,7 @@ using obs::tail::RequestTrace;
 using obs::tail::Span;
 using obs::tail::SpanKind;
 using obs::tail::TxOutcome;
+using obs::probe::Event;
 
 /** A finished trace with the given id and total latency. */
 PendingTrace
@@ -62,14 +67,37 @@ totalsOf(const std::vector<std::shared_ptr<const RequestTrace>> &v)
 class TailReservoirTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { obs::tail::resetTail(); }
+    void
+    SetUp() override
+    {
+        obs::tail::resetTail();
+        obs::probe::resetRing();
+    }
     void
     TearDown() override
     {
         obs::tail::disarmTail();
         obs::tail::resetTail();
+        obs::probe::disarmRing();
+        obs::probe::resetRing();
     }
 };
+
+/** Run one traced request around @p body and return its finished
+ *  trace (the reply counts as flushed at once). */
+template <typename F>
+PendingTrace
+traceRequest(F &&body, std::uint32_t worker = 0, bool binary = false)
+{
+    const obs::probe::Request req =
+        obs::probe::requestBegin(worker, binary, obs::nowNanos());
+    EXPECT_NE(req.id, 0u);
+    body();
+    PendingTrace p = obs::probe::requestEnd(req);
+    EXPECT_NE(p, nullptr);
+    obs::tail::finishRequest(p, obs::nowNanos());
+    return p;
+}
 
 TEST_F(TailReservoirTest, KeepsExactlyTheKSlowest)
 {
@@ -135,17 +163,20 @@ TEST_F(TailReservoirTest, ConcurrentInsertAndMergeKeepTopK)
 
 TEST_F(TailReservoirTest, ArmDisarmToggle)
 {
-    // Disarmed: every hook is a no-op that returns "not traced".
+    // Disarmed: the request boundaries trace nothing.
     EXPECT_FALSE(obs::tail::tailArmed());
-    EXPECT_EQ(obs::tail::beginRequest(0, false, obs::nowNanos()), 0u);
-    EXPECT_EQ(obs::tail::endRequest(), nullptr);
+    obs::probe::Request req =
+        obs::probe::requestBegin(0, false, obs::nowNanos());
+    EXPECT_EQ(req.id, 0u);
+    EXPECT_EQ(obs::probe::requestEnd(req), nullptr);
     EXPECT_EQ(obs::tail::tailConsidered(), 0u);
 
     obs::tail::armTail(2);
     EXPECT_TRUE(obs::tail::tailArmed());
     EXPECT_EQ(obs::tail::tailK(), 2u);
-    EXPECT_NE(obs::tail::beginRequest(0, false, obs::nowNanos()), 0u);
-    PendingTrace p = obs::tail::endRequest();
+    req = obs::probe::requestBegin(0, false, obs::nowNanos());
+    EXPECT_NE(req.id, 0u);
+    PendingTrace p = obs::probe::requestEnd(req);
     ASSERT_NE(p, nullptr);
     obs::tail::finishRequest(std::move(p), obs::nowNanos());
     EXPECT_EQ(obs::tail::tailConsidered(), 1u);
@@ -154,8 +185,9 @@ TEST_F(TailReservoirTest, ArmDisarmToggle)
     // Disarm: tracing stops, but the reservoir keeps its contents so
     // a post-mortem `stats tail` still works.
     obs::tail::disarmTail();
-    EXPECT_EQ(obs::tail::beginRequest(0, false, obs::nowNanos()), 0u);
-    EXPECT_EQ(obs::tail::endRequest(), nullptr);
+    req = obs::probe::requestBegin(0, false, obs::nowNanos());
+    EXPECT_EQ(req.id, 0u);
+    EXPECT_EQ(obs::probe::requestEnd(req), nullptr);
     EXPECT_EQ(obs::tail::tailConsidered(), 1u);
     EXPECT_EQ(obs::tail::snapshotTail().size(), 1u);
 
@@ -169,8 +201,10 @@ TEST_F(TailReservoirTest, SerialSwitchAttributionThroughRuntime)
 {
     tm::Runtime::get().configure(tm::RuntimeCfg{});
     obs::tail::armTail(8);
-    ASSERT_NE(obs::tail::beginRequest(7, true, obs::nowNanos()), 0u);
-    obs::tail::noteShard(3);
+    const obs::probe::Request req =
+        obs::probe::requestBegin(7, true, obs::nowNanos());
+    ASSERT_NE(req.id, 0u);
+    obs::probe::emit(Event::Shard, nullptr, 3);
 
     // A relaxed transaction that hits an unsafe op: attempt 1 must
     // record a serial-switch with the unsafeOp site as its cause,
@@ -179,7 +213,7 @@ TEST_F(TailReservoirTest, SerialSwitchAttributionThroughRuntime)
                                   tm::TxnKind::Relaxed};
     tm::run(attr, [](tm::TxDesc &d) { tm::unsafeOp(d, "test-unsafe"); });
 
-    PendingTrace p = obs::tail::endRequest();
+    PendingTrace p = obs::probe::requestEnd(req);
     ASSERT_NE(p, nullptr);
     obs::tail::finishRequest(std::move(p), obs::nowNanos());
 
@@ -210,6 +244,144 @@ TEST_F(TailReservoirTest, SerialSwitchAttributionThroughRuntime)
     EXPECT_EQ(t.spans[4].kind, SpanKind::Flush);
     EXPECT_GE(t.spans[4].t1, t.spans[4].t0);
     EXPECT_GT(t.totalNs(), 0u);
+}
+
+TEST_F(TailReservoirTest, RingWrapMarksOverflowAndKeepsTheChain)
+{
+    obs::tail::armTail(4);
+    // More events than the ring holds: the request's begin record and
+    // its first attempts are overwritten before the fold reads them.
+    const PendingTrace p = traceRequest([] {
+        for (std::size_t i = 0; i < obs::probe::kRingCapacity; ++i) {
+            obs::probe::emit(Event::TxBegin, "wrap", 1);
+            obs::probe::emit(Event::TxCommit, "wrap", 1);
+        }
+    });
+    ASSERT_NE(p, nullptr);
+    EXPECT_TRUE(p->overflow);
+    ASSERT_GE(p->spans.size(), 3u);
+    EXPECT_LE(p->spans.size(), obs::tail::kMaxTailSpans);
+    EXPECT_EQ(p->spans[0].kind, SpanKind::Parse);
+    EXPECT_EQ(p->spans[1].kind, SpanKind::Exec);
+    EXPECT_EQ(p->spans.back().kind, SpanKind::Flush);
+    EXPECT_GE(p->spans.back().t1, p->spans.back().t0);
+    EXPECT_EQ(p->spans[2].kind, SpanKind::Tx);
+    EXPECT_EQ(p->spans[2].outcome, TxOutcome::Commit);
+}
+
+/** The ring dump's tx events between one request's begin and end
+ *  records, as "<event> site=<site>". */
+std::vector<std::string>
+dumpTxEvents(const std::string &dump, std::uint64_t id)
+{
+    const std::string arg = " arg=" + std::to_string(id);
+    std::vector<std::string> out;
+    std::istringstream in(dump);
+    std::string line;
+    bool inside = false;
+    while (std::getline(in, line)) {
+        if (line.find("request_begin") != std::string::npos &&
+            line.find(arg) != std::string::npos) {
+            inside = true;
+        } else if (inside && line.find("request_end") != std::string::npos) {
+            break;
+        } else if (inside && line.find(" tx_") != std::string::npos &&
+                   line.find("tx_cause") == std::string::npos) {
+            const std::size_t ev = line.find(" tx_") + 1;
+            out.push_back(line.substr(ev, line.find(" shard=") - ev));
+        }
+    }
+    return out;
+}
+
+TEST_F(TailReservoirTest, RingDumpAndChainListTheSameTxEvents)
+{
+    tm::Runtime::get().configure(tm::RuntimeCfg{});
+    obs::probe::armRing();
+    obs::tail::armTail(8);
+    static const tm::TxnAttr relaxed{"tail-dump-relaxed",
+                                     tm::TxnKind::Relaxed};
+    static const tm::TxnAttr plain{"tail-dump-plain", tm::TxnKind::Atomic};
+    static std::uint64_t word = 0;
+    const PendingTrace p = traceRequest([] {
+        tm::run(plain, [](tm::TxDesc &d) {
+            tm::txStore(d, &word, std::uint64_t{1});
+        });
+        tm::run(relaxed, [](tm::TxDesc &d) { tm::unsafeOp(d, "dump-op"); });
+        tm::run(plain, [](tm::TxDesc &d) { (void)tm::txLoad(d, &word); });
+    });
+    ASSERT_NE(p, nullptr);
+
+    std::vector<std::string> chain;
+    for (const Span &s : p->spans) {
+        if (s.kind != SpanKind::Tx)
+            continue;
+        const std::string site = std::string(" site=") + s.site;
+        chain.push_back("tx_begin" + site);
+        chain.push_back(std::string(s.outcome == TxOutcome::Switch
+                                        ? "tx_serial_switch"
+                                        : "tx_commit") +
+                        site);
+    }
+    ASSERT_EQ(chain.size(), 8u);  // Commit, switch + serial commit, commit.
+    EXPECT_EQ(dumpTxEvents(obs::probe::dumpRing(), p->id), chain);
+}
+
+TEST_F(TailReservoirTest, QuiesceWaitShowsInTheChain)
+{
+    tm::Runtime::get().configure(tm::RuntimeCfg{});
+    obs::probe::armRing();
+    obs::tail::armTail(8);
+    static const tm::TxnAttr parked{"tail-quiesce-parked",
+                                    tm::TxnKind::Atomic};
+    static const tm::TxnAttr writer{"tail-quiesce-writer",
+                                    tm::TxnKind::Atomic};
+    static std::uint64_t word = 0;
+    constexpr auto kSettle = std::chrono::milliseconds(20);
+    constexpr auto kPark = std::chrono::milliseconds(20);
+    std::atomic<bool> published{false};
+    std::uint64_t park0 = 0;
+    std::uint64_t park1 = 0;
+    auto &clock = tm::Runtime::get().homeDomain().clock;
+
+    // The parked transaction has published its start. It waits for the
+    // writer's commit to move the clock (the writer is then entering
+    // quiesce, which must wait this transaction out), settles so the
+    // writer's wait has surely begun, then parks.
+    std::thread parker([&] {
+        tm::run(parked, [&](tm::TxDesc &) {
+            const std::uint64_t c0 = clock.load(std::memory_order_acquire);
+            published.store(true, std::memory_order_release);
+            while (clock.load(std::memory_order_acquire) == c0)
+                std::this_thread::yield();
+            std::this_thread::sleep_for(kSettle);
+            park0 = obs::nowNanos();
+            std::this_thread::sleep_for(kPark);
+            park1 = obs::nowNanos();
+        });
+    });
+    while (!published.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    const PendingTrace p = traceRequest([] {
+        tm::run(writer, [](tm::TxDesc &d) {
+            tm::txStore(d, &word, std::uint64_t{1});
+        });
+    });
+    parker.join();
+    ASSERT_NE(p, nullptr);
+
+    const Span *wait = nullptr;
+    for (const Span &s : p->spans) {
+        if (s.kind == SpanKind::Wait)
+            wait = &s;
+    }
+    ASSERT_NE(wait, nullptr) << "no wait span in the chain";
+    EXPECT_STREQ(wait->cause, "quiesce");
+    EXPECT_GE(wait->t1 - wait->t0, park1 - park0);
+    EXPECT_NE(obs::probe::dumpRing().find("wait site=quiesce"),
+              std::string::npos);
+    EXPECT_NE(obs::tail::tailAsciiRows().find(";wait:quiesce:"),
+              std::string::npos);
 }
 
 TEST_F(TailReservoirTest, RenderersAgreeWithSnapshot)

@@ -207,13 +207,13 @@ TEST_P(LitmusTest, Iriw)
 TEST(ArmedLatchLitmus, ArmedLatchPublishesConfig)
 {
     // From atomlint's initial tree scan (AL2, armed-latch protocol):
-    // obs::armTail() stored both g_tailK and the g_tailArmed latch
+    // obs::armTail() once stored both the tail K and its latch
     // relaxed, so a worker whose relaxed fast-path gate saw the latch
-    // could trace against a stale K. The fix (tail.cc) made the arm
-    // store release and added an acquire re-read of the latch in
-    // beginRequestSlow(); this MP-shaped test pins it: whenever a
-    // request is admitted (nonzero id), the K configured by that arm
-    // must be visible.
+    // could trace against a stale K. The arm now sets the probe's one
+    // armed bitmask with release, and requestBeginSlow() re-reads it
+    // with acquire; this MP-shaped test pins that: whenever a request
+    // is admitted (nonzero id), the K configured by that arm must be
+    // visible.
     int roundK = 0;  // Written in reset, read after the go barrier.
     std::uint64_t r_id = 0;
     std::size_t r_k = 0;
@@ -228,10 +228,13 @@ TEST(ArmedLatchLitmus, ArmedLatchPublishesConfig)
         },
         {[&] { obs::tail::armTail(static_cast<std::size_t>(roundK)); },
          [&] {
-             r_id = obs::tail::beginRequest(0, false, 0);
-             // Sequenced after beginRequestSlow's acquire re-read of
+             const obs::probe::Request req =
+                 obs::probe::requestBegin(0, false, 0);
+             // Sequenced after requestBeginSlow's acquire re-read of
              // the latch, so the arm's configuration is visible.
              r_k = obs::tail::tailK();
+             r_id = req.id;
+             obs::probe::requestEnd(req);
          }},
         [&](int round) {
             if (r_id != 0)
