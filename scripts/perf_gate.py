@@ -15,12 +15,12 @@ Rows are keyed by (bench, branch, threads, shards). Four subcommands:
               (default 25%), on a serialization-taxonomy band change,
               or on a baseline row missing from the current run.
   rebaseline  merge run files into a fresh baseline document.
-  ab          paired A/B of two google-benchmark binaries (a base and
-              a head build of the same bench): alternating rounds on
-              one pinned core; exits 1 when, for any benchmark, the
-              head is slower in at least 9 of 10 pairs AND its median
-              time exceeds the base's by more than --max-ratio
-              (default 1.05).
+  ab          paired A/B of two bench_micro_tm builds (a base and a
+              head): ten alternating rounds of the empty- and
+              single-location-transaction rows on one pinned core;
+              exits 1 when, for any row, the head is slower in at
+              least 9 of 10 pairs AND its median time exceeds the
+              base's by more than 1.05x.
   selftest    verify the gate's own behaviour on synthetic data
               (identity passes, a 2x slowdown fails, a taxonomy shift
               fails, a missing row fails, an A/B 2x slowdown fails,
@@ -214,25 +214,35 @@ def cmd_rebaseline(args):
     return 0
 
 
-def ab_verdict(base_times, head_times, max_ratio=1.05, lose_share=0.9):
+# The disarmed-overhead A/B: which bench_micro_tm rows, how many
+# alternating rounds, the core both sides are pinned to, and the
+# verdict (slower in at least 9 of 10 pairs and median above 1.05x).
+AB_FILTER = "BM_EmptyTxn|BM_SingleLocationTxnExpr"
+AB_ROUNDS = 10
+AB_CPU = 1
+AB_LOSE_SHARE = 0.9
+AB_MAX_RATIO = 1.05
+
+
+def ab_verdict(base_times, head_times):
     """Paired verdict for one benchmark's per-round times (lower is
     better). Returns (failed, losses, ratio): the head fails only when
-    it is slower in at least lose_share of the pairs *and* its median
-    exceeds the base's by more than max_ratio — either alone is what
-    noise on a shared runner produces."""
+    it is slower in at least AB_LOSE_SHARE of the pairs *and* its
+    median exceeds the base's by more than AB_MAX_RATIO — either alone
+    is what noise on a shared runner produces."""
     pairs = list(zip(base_times, head_times))
     losses = sum(1 for b, h in pairs if h > b)
     ratio = statistics.median(head_times) / statistics.median(base_times)
-    failed = losses >= lose_share * len(pairs) and ratio > max_ratio
+    failed = losses >= AB_LOSE_SHARE * len(pairs) and ratio > AB_MAX_RATIO
     return failed, losses, ratio
 
 
-def run_gbench(binary, bench_filter, cpu):
+def run_gbench(binary):
     """One run of a google-benchmark binary: {name: real_time_ns}."""
-    cmd = [binary, "--benchmark_filter=" + bench_filter,
+    cmd = [binary, "--benchmark_filter=" + AB_FILTER,
            "--benchmark_format=json"]
-    if cpu is not None and shutil.which("taskset"):
-        cmd = ["taskset", "-c", str(cpu)] + cmd
+    if shutil.which("taskset"):
+        cmd = ["taskset", "-c", str(AB_CPU)] + cmd
     out = subprocess.run(cmd, check=True, capture_output=True,
                          text=True).stdout
     scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -242,20 +252,20 @@ def run_gbench(binary, bench_filter, cpu):
 
 def cmd_ab(args):
     runs = {"base": [], "head": []}
-    for rnd in range(args.rounds):
+    for rnd in range(AB_ROUNDS):
         # Alternate which side runs first so drift over the run
         # (thermal, a neighbour's load) lands on both sides equally.
         order = ("base", "head") if rnd % 2 == 0 else ("head", "base")
         for side in order:
             binary = args.base if side == "base" else args.head
-            runs[side].append(run_gbench(binary, args.filter, args.cpu))
+            runs[side].append(run_gbench(binary))
     names = sorted(runs["base"][0])
     failures = []
     print("%-32s %s" % ("benchmark", "per-round ns base/head ..."))
     for name in names:
         base = [r[name] for r in runs["base"]]
         head = [r[name] for r in runs["head"]]
-        failed, losses, ratio = ab_verdict(base, head, args.max_ratio)
+        failed, losses, ratio = ab_verdict(base, head)
         print("%-32s %s" % (name, " ".join(
             "%.1f/%.1f" % pair for pair in zip(base, head))))
         print("%-32s head slower in %d of %d pairs, median ratio %.3f%s"
@@ -263,18 +273,16 @@ def cmd_ab(args):
                  "  FAIL" if failed else ""))
         if failed:
             failures.append(name)
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump({"schema": "tmemc-ab-v1", "filter": args.filter,
-                       "rounds": runs, "failures": failures}, f,
-                      indent=2)
-            f.write("\n")
+    with open(args.out, "w") as f:
+        json.dump({"schema": "tmemc-ab-v1", "filter": AB_FILTER,
+                   "rounds": runs, "failures": failures}, f, indent=2)
+        f.write("\n")
     if failures:
         print("\nA/B gate FAILED: %s" % ", ".join(failures),
               file=sys.stderr)
         return 1
     print("\nA/B gate OK (%d benchmarks, %d rounds)"
-          % (len(names), args.rounds))
+          % (len(names), AB_ROUNDS))
     return 0
 
 
@@ -365,14 +373,8 @@ def main():
                    help="google-benchmark binary built at the base")
     p.add_argument("--head", required=True,
                    help="the same benchmark built at the head")
-    p.add_argument("--filter",
-                   default="BM_EmptyTxn|BM_SingleLocationTxnExpr",
-                   help="--benchmark_filter regex")
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--cpu", type=int, default=0,
-                   help="core both sides are pinned to (taskset)")
-    p.add_argument("--max-ratio", type=float, default=1.05)
-    p.add_argument("--out", help="write every round as JSON")
+    p.add_argument("--out", required=True,
+                   help="write every round as JSON to this path")
     p.set_defaults(fn=cmd_ab)
 
     p = sub.add_parser("selftest")

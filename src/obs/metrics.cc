@@ -131,29 +131,25 @@ statRowF(std::string &out, const char *name, double v)
     out += buf;
 }
 
-/** One histogram's quantile fields, by wire name. */
-struct Quantile
-{
-    const char *name;
-    double HistSummary::*field;
-};
-
-constexpr Quantile kQuantiles[] = {{"p50_us", &HistSummary::p50Us},
-                                   {"p95_us", &HistSummary::p95Us},
-                                   {"p99_us", &HistSummary::p99Us},
-                                   {"p999_us", &HistSummary::p999Us},
-                                   {"max_us", &HistSummary::maxUs}};
-
-/** The STAT rows one histogram contributes: count, then quantiles. */
+/** The five STAT rows one histogram contributes. */
 void
 statHistRows(std::string &out, const char *prefix, const HistSummary &s)
 {
     char name[64];
     std::snprintf(name, sizeof(name), "lat_%s_count", prefix);
     statRow(out, name, s.count);
-    for (const Quantile &q : kQuantiles) {
-        std::snprintf(name, sizeof(name), "lat_%s_%s", prefix, q.name);
-        statRowF(out, name, s.*q.field);
+    const struct
+    {
+        const char *suffix;
+        double v;
+    } rows[] = {{"p50_us", s.p50Us},
+                {"p95_us", s.p95Us},
+                {"p99_us", s.p99Us},
+                {"p999_us", s.p999Us},
+                {"max_us", s.maxUs}};
+    for (const auto &r : rows) {
+        std::snprintf(name, sizeof(name), "lat_%s_%s", prefix, r.suffix);
+        statRowF(out, name, r.v);
     }
 }
 
@@ -177,11 +173,18 @@ MetricsSnapshot::toJson() const
         out += "\"";
         out += histKindName(static_cast<HistKind>(k));
         out += "\":{";
-        jsonU64(out, "count", hists[k].count);
-        for (const Quantile &q : kQuantiles) {
-            out += ",";
-            jsonNum(out, q.name, hists[k].*q.field);
-        }
+        const HistSummary &s = hists[k];
+        jsonU64(out, "count", s.count);
+        out += ",";
+        jsonNum(out, "p50_us", s.p50Us);
+        out += ",";
+        jsonNum(out, "p95_us", s.p95Us);
+        out += ",";
+        jsonNum(out, "p99_us", s.p99Us);
+        out += ",";
+        jsonNum(out, "p999_us", s.p999Us);
+        out += ",";
+        jsonNum(out, "max_us", s.maxUs);
         out += "}";
     }
     out += "}}";

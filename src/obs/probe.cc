@@ -23,12 +23,33 @@ namespace tmemc::obs::probe
 const char *
 eventName(Event ev)
 {
-    static const char *const kNames[] = {
-        "request_begin", "request_end",      "shard",      "tx_begin",
-        "tx_commit",     "tx_abort",         "tx_serial_switch",
-        "tx_promote",    "tx_retry",         "tx_cause",   "wait",
-        "fault_site_hit"};
-    return kNames[static_cast<unsigned>(ev)];
+    switch (ev) {
+      case Event::RequestBegin:
+        return "request_begin";
+      case Event::RequestEnd:
+        return "request_end";
+      case Event::Shard:
+        return "shard";
+      case Event::TxBegin:
+        return "tx_begin";
+      case Event::TxCommit:
+        return "tx_commit";
+      case Event::TxAbort:
+        return "tx_abort";
+      case Event::TxSwitch:
+        return "tx_serial_switch";
+      case Event::TxPromote:
+        return "tx_promote";
+      case Event::TxRetry:
+        return "tx_retry";
+      case Event::TxCause:
+        return "tx_cause";
+      case Event::Wait:
+        return "wait";
+      case Event::FaultSiteHit:
+        return "fault_site_hit";
+    }
+    return "?";
 }
 
 namespace
@@ -44,9 +65,7 @@ struct Ring
     std::uint64_t written = 0;
     std::uint64_t floor = 0;
     std::vector<Record> recs{kRingCapacity};
-    // Owner-only state, never read by a dump.
-    std::uint32_t shard = 0;  //!< Stamped into every record.
-    bool inRequest = false;   //!< Between requestBegin and requestEnd.
+    std::uint32_t shard = 0;  //!< Owner only: stamped into every record.
 
     /** Oldest position still held. */
     std::uint64_t
@@ -68,6 +87,10 @@ struct Ring
 
 std::mutex g_ringsMu;
 std::vector<std::shared_ptr<Ring>> g_rings;
+
+/** Between a traced requestBegin and its requestEnd. Tested before
+ *  myRing(), so a tail-only thread gets a ring only when it records. */
+thread_local bool t_inRequest = false;
 
 Ring &
 myRing()
@@ -119,9 +142,9 @@ void
 emitSlow(Event ev, const char *site, std::uint32_t arg,
          const char *cause, bool serial)
 {
-    Ring &ring = myRing();
-    if ((armed() & kRingBit) == 0 && !ring.inRequest)
+    if ((armed() & kRingBit) == 0 && !t_inRequest)
         return;  // Tail only: events outside a traced request drop.
+    Ring &ring = myRing();
     std::lock_guard<std::mutex> guard(ring.mu);
     ring.append(ev, site, arg, cause, serial);
 }
@@ -134,18 +157,21 @@ requestBeginSlow(Request &req, std::uint32_t worker, bool binary,
     // release, so the K and reservoir configuration written before
     // arming is visible to everything this request does. The caller's
     // relaxed gate proves nothing about that.
-    if ((g_armed.load(std::memory_order_acquire) & kTailBit) == 0)
-        return;
+    const char *proto = binary ? "binary" : "ascii";
+    if ((g_armed.load(std::memory_order_acquire) & kTailBit) == 0) {
+        emitSlow(Event::RequestBegin, proto, 0, nullptr, false);
+        return;  // Ring only: the boundary, without a request id.
+    }
     req.id = tail::detail::admitRequest();
     req.worker = worker;
     req.binary = binary;
     req.parseT0 = parse_t0 != 0 && parse_t0 <= req.t0 ? parse_t0 : req.t0;
+    t_inRequest = true;
     Ring &ring = myRing();
     std::lock_guard<std::mutex> guard(ring.mu);
     ring.shard = 0;
-    ring.inRequest = true;
     req.mark = ring.written;
-    ring.append(Event::RequestBegin, binary ? "binary" : "ascii",
+    ring.append(Event::RequestBegin, proto,
                 static_cast<std::uint32_t>(req.id), nullptr, false);
 }
 
@@ -159,7 +185,7 @@ requestEndSlow(const Request &req, std::uint64_t now)
     std::unique_lock<std::mutex> guard(ring.mu);
     ring.append(Event::RequestEnd, nullptr,
                 static_cast<std::uint32_t>(req.id), nullptr, false);
-    ring.inRequest = false;
+    t_inRequest = false;
     const std::uint64_t from = std::max(req.mark, ring.first());
     slice.clear();
     for (std::uint64_t i = from; i < ring.written; ++i)

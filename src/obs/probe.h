@@ -51,8 +51,8 @@ namespace probe
 /** What happened (one record per event). */
 enum class Event : std::uint8_t
 {
-    RequestBegin,  //!< Executor call began (arg: request id).
-    RequestEnd,    //!< Executor call returned; the reply is queued.
+    RequestBegin,  //!< Executor call began (arg: tail request id).
+    RequestEnd,    //!< Executor call returned (arg: tail request id).
     Shard,         //!< Request routed to a shard (arg: shard id).
     TxBegin,       //!< Top-level attempt began (arg: attempt number).
     TxCommit,      //!< Attempt committed.
@@ -140,9 +140,9 @@ emit(Event ev, const char *site, std::uint32_t arg = 0,
 
 /**
  * An executor call begins. @p parse_t0 is the stamp taken before
- * framing began (0: none). While the tail tracer is armed this mints
- * the request id and notes the ring position; the returned value
- * goes back to requestEnd().
+ * framing began (0: none). While armed this records the boundary;
+ * the tail tracer also mints the request id and notes the ring
+ * position. The returned value goes back to requestEnd().
  */
 inline Request
 requestBegin(std::uint32_t worker, bool binary, std::uint64_t parse_t0)
@@ -156,17 +156,20 @@ requestBegin(std::uint32_t worker, bool binary, std::uint64_t parse_t0)
 
 /**
  * The executor call returned and its reply is queued. Records the
- * Command histogram; for a traced request, folds the ring slice
- * since requestBegin() into its span chain, whose flush span stays
- * open until tail::finishRequest(). Returns null when not traced.
+ * Command histogram and, while armed, the boundary. For a traced
+ * request it also folds the ring slice since requestBegin() into its
+ * span chain, whose flush span stays open until
+ * tail::finishRequest(). Returns null when not traced.
  */
 inline std::shared_ptr<tail::RequestTrace>
 requestEnd(const Request &req)
 {
     const std::uint64_t now = nowNanos();
     hist(HistKind::Command).record(now - req.t0);
-    if (req.id == 0)
+    if (req.id == 0) {
+        emit(Event::RequestEnd, nullptr);
         return nullptr;
+    }
     return detail::requestEndSlow(req, now);
 }
 

@@ -15,27 +15,46 @@
 namespace tmemc::obs::tail
 {
 
-namespace
-{
-
 const char *
 spanKindName(SpanKind kind)
 {
-    static const char *const kNames[] = {"parse", "exec", "tx", "wait",
-                                         "flush"};
-    return kNames[static_cast<unsigned>(kind)];
+    switch (kind) {
+      case SpanKind::Parse:
+        return "parse";
+      case SpanKind::Exec:
+        return "exec";
+      case SpanKind::Tx:
+        return "tx";
+      case SpanKind::Wait:
+        return "wait";
+      case SpanKind::Flush:
+        return "flush";
+    }
+    return "?";
 }
 
 const char *
 txOutcomeName(TxOutcome outcome, bool serial)
 {
-    static const char *const kNames[] = {"open",       "commit",
-                                         "abort",      "serial-switch",
-                                         "ro-promote", "retry"};
-    if (outcome == TxOutcome::Commit && serial)
-        return "serial-commit";
-    return kNames[static_cast<unsigned>(outcome)];
+    switch (outcome) {
+      case TxOutcome::None:
+        return "open";
+      case TxOutcome::Commit:
+        return serial ? "serial-commit" : "commit";
+      case TxOutcome::Abort:
+        return "abort";
+      case TxOutcome::Switch:
+        return "serial-switch";
+      case TxOutcome::Promote:
+        return "ro-promote";
+      case TxOutcome::Retry:
+        return "retry";
+    }
+    return "?";
 }
+
+namespace
+{
 
 /**
  * The reservoir: a min-heap (by total latency) of the K slowest
@@ -109,7 +128,8 @@ foldRequest(const probe::Request &req,
     using probe::Event;
     auto trace = std::make_shared<RequestTrace>(RequestTrace{
         .id = req.id, .startNs = req.parseT0, .worker = req.worker,
-        .shard = shard, .binary = req.binary, .overflow = wrapped});
+        .shard = shard, .binary = req.binary, .overflow = wrapped,
+        .spans = {}});
     std::vector<Span> &spans = trace->spans;
     spans.push_back(
         {.t0 = req.parseT0, .t1 = req.t0, .kind = SpanKind::Parse});
@@ -272,25 +292,29 @@ spanDurNs(const Span &s)
     return s.t1 > s.t0 ? s.t1 - s.t0 : 0;
 }
 
-const char *
-orDash(const char *s)
-{
-    return s != nullptr ? s : "-";
-}
-
 void
 appendSpanAscii(std::ostringstream &os, const Span &s)
 {
+    char buf[192];
     if (s.kind == SpanKind::Tx) {
-        os << "tx" << s.attempt << ':'
-           << txOutcomeName(s.outcome, s.serial) << ':' << orDash(s.cause)
-           << ':' << orDash(s.site);
+        std::snprintf(buf, sizeof(buf), "tx%u:%s:%s:%s:s%u:%llu",
+                      s.attempt, txOutcomeName(s.outcome, s.serial),
+                      s.cause != nullptr ? s.cause : "-",
+                      s.site != nullptr ? s.site : "-", s.shard,
+                      static_cast<unsigned long long>(spanDurNs(s) /
+                                                      1000));
     } else if (s.kind == SpanKind::Wait) {
-        os << "wait:" << orDash(s.cause);
+        std::snprintf(buf, sizeof(buf), "wait:%s:s%u:%llu",
+                      s.cause != nullptr ? s.cause : "-", s.shard,
+                      static_cast<unsigned long long>(spanDurNs(s) /
+                                                      1000));
     } else {
-        os << spanKindName(s.kind);
+        std::snprintf(buf, sizeof(buf), "%s:s%u:%llu",
+                      spanKindName(s.kind), s.shard,
+                      static_cast<unsigned long long>(spanDurNs(s) /
+                                                      1000));
     }
-    os << ":s" << s.shard << ':' << spanDurNs(s) / 1000;
+    os << buf;
 }
 
 } // namespace
@@ -306,10 +330,15 @@ tailAsciiRows()
        << "STAT tail_kept " << traces.size() << "\r\n";
     std::size_t rank = 0;
     for (const auto &t : traces) {
-        os << "STAT tail" << rank++ << " id=" << t->id
-           << " worker=" << t->worker << " shard=" << t->shard
-           << " binary=" << (t->binary ? 1 : 0)
-           << " total_us=" << t->totalNs() / 1000 << " spans=";
+        char head[160];
+        std::snprintf(head, sizeof(head),
+                      "STAT tail%zu id=%llu worker=%u shard=%u "
+                      "binary=%d total_us=%llu spans=",
+                      rank, static_cast<unsigned long long>(t->id),
+                      t->worker, t->shard, t->binary ? 1 : 0,
+                      static_cast<unsigned long long>(t->totalNs() /
+                                                      1000));
+        os << head;
         for (std::size_t i = 0; i < t->spans.size(); ++i) {
             if (i != 0)
                 os << ';';
@@ -318,6 +347,7 @@ tailAsciiRows()
         if (t->overflow)
             os << ";...";
         os << "\r\n";
+        ++rank;
     }
     return os.str();
 }
@@ -326,40 +356,59 @@ std::string
 tailToJson()
 {
     const auto traces = snapshotTail();
-    std::ostringstream os;
+    std::string branch;
+    std::string algo;
     {
         std::lock_guard<std::mutex> guard(g_labelMu);
-        os << "{\"schema\":\"tmemc-tail-v1\""
-           << ",\"branch\":\"" << jsonEscape(g_branchLabel.c_str())
-           << "\",\"algo\":\"" << jsonEscape(g_algoLabel.c_str()) << "\"";
+        branch = g_branchLabel;
+        algo = g_algoLabel;
     }
-    auto boolean = [](bool b) { return b ? "true" : "false"; };
-    os << ",\"armed\":" << boolean(tailArmed()) << ",\"k\":" << tailK()
+    std::ostringstream os;
+    os << "{\"schema\":\"tmemc-tail-v1\""
+       << ",\"branch\":\"" << jsonEscape(branch.c_str()) << "\""
+       << ",\"algo\":\"" << jsonEscape(algo.c_str()) << "\""
+       << ",\"armed\":" << (tailArmed() ? "true" : "false")
+       << ",\"k\":" << tailK()
        << ",\"considered\":" << tailConsidered()
        << ",\"kept\":" << traces.size() << ",\"requests\":[";
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        const RequestTrace &t = *traces[i];
-        os << (i != 0 ? "," : "") << "{\"id\":" << t.id
-           << ",\"worker\":" << t.worker << ",\"shard\":" << t.shard
-           << ",\"binary\":" << boolean(t.binary)
-           << ",\"start_ns\":" << t.startNs
-           << ",\"total_ns\":" << t.totalNs()
-           << ",\"overflow\":" << boolean(t.overflow) << ",\"spans\":[";
-        for (std::size_t j = 0; j < t.spans.size(); ++j) {
-            const Span &s = t.spans[j];
+    bool first_req = true;
+    for (const auto &t : traces) {
+        if (!first_req)
+            os << ',';
+        first_req = false;
+        os << "{\"id\":" << t->id << ",\"worker\":" << t->worker
+           << ",\"shard\":" << t->shard
+           << ",\"binary\":" << (t->binary ? "true" : "false")
+           << ",\"start_ns\":" << t->startNs
+           << ",\"total_ns\":" << t->totalNs()
+           << ",\"overflow\":" << (t->overflow ? "true" : "false")
+           << ",\"spans\":[";
+        bool first_span = true;
+        for (const Span &s : t->spans) {
+            if (!first_span)
+                os << ',';
+            first_span = false;
             // t0 is trace-relative so timelines read from zero.
-            os << (j != 0 ? "," : "") << "{\"kind\":\""
-               << spanKindName(s.kind) << "\",\"shard\":" << s.shard
-               << ",\"t0_ns\":" << (s.t0 > t.startNs ? s.t0 - t.startNs : 0)
+            const std::uint64_t rel =
+                s.t0 > t->startNs ? s.t0 - t->startNs : 0;
+            os << "{\"kind\":\"" << spanKindName(s.kind) << "\""
+               << ",\"shard\":" << s.shard << ",\"t0_ns\":" << rel
                << ",\"dur_ns\":" << spanDurNs(s);
             if (s.kind == SpanKind::Tx) {
-                os << ",\"attempt\":" << s.attempt << ",\"outcome\":\""
-                   << txOutcomeName(s.outcome, s.serial)
-                   << "\",\"serial\":" << boolean(s.serial)
-                   << ",\"site\":\"" << jsonEscape(s.site) << "\"";
+                os << ",\"attempt\":" << s.attempt
+                   << ",\"outcome\":\""
+                   << txOutcomeName(s.outcome, s.serial) << "\""
+                   << ",\"serial\":" << (s.serial ? "true" : "false")
+                   << ",\"site\":\""
+                   << jsonEscape(s.site != nullptr ? s.site : "") << "\""
+                   << ",\"cause\":\""
+                   << jsonEscape(s.cause != nullptr ? s.cause : "")
+                   << "\"";
+            } else if (s.kind == SpanKind::Wait) {
+                os << ",\"cause\":\""
+                   << jsonEscape(s.cause != nullptr ? s.cause : "")
+                   << "\"";
             }
-            if (s.kind == SpanKind::Tx || s.kind == SpanKind::Wait)
-                os << ",\"cause\":\"" << jsonEscape(s.cause) << "\"";
             os << '}';
         }
         os << "]}";
@@ -374,8 +423,10 @@ writeTailJsonFile(const std::string &path)
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return false;
-    const std::string text = tailToJson() + "\n";
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    const std::string text = tailToJson();
+    const bool ok =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+        std::fputc('\n', f) != EOF;
     return std::fclose(f) == 0 && ok;
 }
 

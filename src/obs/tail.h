@@ -57,6 +57,9 @@ enum class TxOutcome : std::uint8_t
     Retry,     //!< tm::retry(): rolled back and waited for a commit.
 };
 
+const char *spanKindName(SpanKind kind);
+const char *txOutcomeName(TxOutcome outcome, bool serial);
+
 /** One span. Site/cause are static strings (TxnAttr names, literals);
  *  the span stores the pointer, never a copy. */
 struct Span

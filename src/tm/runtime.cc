@@ -272,33 +272,29 @@ void
 txEvent(Runtime &rt, TxDesc &d, const char *cause = nullptr)
 {
     const TxnAttr &attr = *d.attr;
-    ThreadStats &st = d.stats;
-    LiveBlock &site = st.site(attr);
-    auto bump = [&](Stat s) {
-        st.total.bump(s);
-        site.bump(s);
-    };
+    LiveBlock &site = d.stats.site(attr);
     bool serial = d.state == RunState::SerialIrrevocable;
     switch (ev) {
       case Event::TxBegin:
         serial = d.pendingSerialRestart || rt.cfg().algo == AlgoKind::Serial;
         if (d.obsAttempts == 1)
-            bump(Stat::Txns);
+            site.bump(Stat::Txns);
         break;
       case Event::TxCommit: {
-        bump(Stat::Commits);
+        site.bump(Stat::Commits);
         // SerialCause Start..Abort map onto StartSerial..AbortSerial.
         if (d.serialCause != SerialCause::None) {
-            bump(static_cast<Stat>(static_cast<unsigned>(Stat::StartSerial) +
-                                   static_cast<unsigned>(d.serialCause) - 1));
+            site.bump(static_cast<Stat>(
+                static_cast<unsigned>(Stat::StartSerial) +
+                static_cast<unsigned>(d.serialCause) - 1));
         }
         if (serial) {
-            bump(Stat::SerialCommits);
+            site.bump(Stat::SerialCommits);
         } else if (d.roFast) {
-            bump(Stat::ReadOnlyCommits);
-            bump(Stat::RoFastCommits);
+            site.bump(Stat::ReadOnlyCommits);
+            site.bump(Stat::RoFastCommits);
         } else if (rt.algo().isReadOnly(d)) {
-            bump(Stat::ReadOnlyCommits);
+            site.bump(Stat::ReadOnlyCommits);
         }
         const std::uint64_t end_ns = obs::nowNanos();
         obs::hist(obs::HistKind::Tx).record(end_ns - d.obsStartNs);
@@ -314,19 +310,19 @@ txEvent(Runtime &rt, TxDesc &d, const char *cause = nullptr)
         break;
       }
       case Event::TxAbort:
-        bump(Stat::Aborts);
+        site.bump(Stat::Aborts);
         break;
       case Event::TxPromote:
-        bump(Stat::RoPromotions);
+        site.bump(Stat::RoPromotions);
         break;
       case Event::TxRetry:
-        bump(Stat::Retries);
+        site.bump(Stat::Retries);
         break;
       case Event::TxCause:
         // unsafeOp() flags the switch before emitting its cause; a
         // promotion trigger is not serialization blame.
         if (d.abortIsSwitch)
-            st.blame(attr, cause);
+            d.stats.blame(attr, cause);
         break;
       default:
         break;

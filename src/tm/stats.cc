@@ -92,7 +92,6 @@ ThreadStats::blame(const TxnAttr &attr, const char *what)
 void
 ThreadStats::clear()
 {
-    total.clear();
     for (auto &b : sites_) {
         if (LiveBlock *site = b.load(std::memory_order_acquire))
             site->clear();
@@ -104,18 +103,22 @@ ThreadStats::clear()
 void
 ThreadStats::foldInto(StatsSnapshot &snap) const
 {
+    // The thread's totals are the sum of its site blocks.
     StatBlock sum;
-    total.addTo(sum);
+    {
+        std::lock_guard<std::mutex> guard(g_slotMu);
+        for (std::size_t i = 0; i < g_slotAttrs.size(); ++i) {
+            const LiveBlock *b = sites_[i].load(std::memory_order_acquire);
+            StatBlock site;
+            if (b != nullptr && b->addTo(site)) {
+                snap.perSite[g_slotAttrs[i]].add(site);
+                sum.add(site);
+            }
+        }
+    }
     snap.total.add(sum);
     snap.abortsPerThread.push_back(sum.aborts);
     snap.commitsPerThread.push_back(sum.commits);
-    std::lock_guard<std::mutex> guard(g_slotMu);
-    for (std::size_t i = 0; i < g_slotAttrs.size(); ++i) {
-        const LiveBlock *b = sites_[i].load(std::memory_order_acquire);
-        StatBlock site;
-        if (b != nullptr && b->addTo(site))
-            snap.perSite[g_slotAttrs[i]].add(site);
-    }
     std::lock_guard<std::mutex> blame_guard(blameMu_);
     for (const auto &[attr, causes] : blame_) {
         for (const auto &[what, count] : causes)

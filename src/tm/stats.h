@@ -45,12 +45,13 @@ struct StatBlock
     void add(const StatBlock &o);
 };
 
-/** The StatBlock counters, in field order. */
+/** The StatBlock counters, in `stats tm` row order. */
 enum class Stat : std::uint8_t
 {
     Txns,
     Commits,
     Aborts,
+    Retries,
     StartSerial,
     InflightSwitch,
     AbortSerial,
@@ -58,7 +59,6 @@ enum class Stat : std::uint8_t
     ReadOnlyCommits,
     RoFastCommits,
     RoPromotions,
-    Retries,
 };
 
 constexpr std::size_t kStatCount = 11;
@@ -75,6 +75,7 @@ inline constexpr StatField kStatFields[kStatCount] = {
     {"txns", &StatBlock::txns},
     {"commits", &StatBlock::commits},
     {"aborts", &StatBlock::aborts},
+    {"retries", &StatBlock::retries},
     {"start_serial", &StatBlock::startSerial},
     {"inflight_switch", &StatBlock::inflightSwitch},
     {"abort_serial", &StatBlock::abortSerial},
@@ -82,7 +83,6 @@ inline constexpr StatField kStatFields[kStatCount] = {
     {"readonly_commits", &StatBlock::readOnlyCommits},
     {"rofast_commits", &StatBlock::roFastCommits},
     {"rofast_promotions", &StatBlock::roPromotions},
-    {"retries", &StatBlock::retries},
 };
 
 inline void
@@ -135,9 +135,6 @@ class ThreadStats
     ThreadStats(const ThreadStats &) = delete;
     ThreadStats &operator=(const ThreadStats &) = delete;
     ~ThreadStats();
-
-    /** The thread's totals. Owner writes only. */
-    LiveBlock total;
 
     /** @p attr's block, allocated on first use. Owner only. */
     LiveBlock &

@@ -294,6 +294,17 @@ TEST_F(TraceTest, ArmedRecordsAndDumps)
     EXPECT_EQ(probe::dumpRing(), "");
 }
 
+TEST_F(TraceTest, RingOnlyRecordsRequestBoundaries)
+{
+    probe::armRing();
+    const probe::Request req = probe::requestBegin(0, false, 0);
+    EXPECT_EQ(req.id, 0u);
+    EXPECT_EQ(probe::requestEnd(req), nullptr);
+    const std::string dump = probe::dumpRing();
+    EXPECT_TRUE(contains(dump, "request_begin site=ascii")) << dump;
+    EXPECT_TRUE(contains(dump, "request_end")) << dump;
+}
+
 TEST_F(TraceTest, RingWrapsAtCapacity)
 {
     probe::armRing();
