@@ -3,7 +3,8 @@
 
 The tail tracer (src/obs/tail.h) keeps the K slowest requests with
 their full parse->exec->tx-attempts->flush span chains (plus wait
-spans, e.g. a commit's quiescence wait); tmemc_server
+spans: a commit's quiescence wait, a serial-lock wait, a store waiting
+for the slab mover); tmemc_server
 --tail-json (or the `tail` admin command, or bench_net --tail-json)
 dumps them as:
 
@@ -54,7 +55,8 @@ def load(path):
 def classify(span):
     """Blame category for one span: abort, serial, flush, or None
     (time already covered by the enclosing exec span — which includes
-    wait spans, since every wait sits inside a tx attempt)."""
+    wait spans: quiesce and serial_lock waits sit inside a tx attempt,
+    alloc waits between attempts)."""
     kind = span["kind"]
     if kind == "flush":
         return "flush"
@@ -118,21 +120,25 @@ def print_timeline(req, rank, width=48):
                  // total)
         bar = " " * lo + "#" * max(1, hi - lo)
         bar = bar[:width].ljust(width)
-        if span["kind"] == "tx":
-            label = "tx#%d %-7s %s" % (
-                span.get("attempt", 0), span.get("outcome", "?"),
-                span.get("site", ""))
-            if span.get("serial"):
-                label += " [serial]"
-            if span.get("cause"):
-                label += " (%s)" % span["cause"]
-        elif span["kind"] == "wait":
-            label = "wait:%s" % span.get("cause", "?")
-        else:
-            label = span["kind"]
         print("  |%s| %8.1fus %8.1fus  s%-2d %s"
               % (bar, us(span["t0_ns"]), us(span["dur_ns"]),
-                 span["shard"], label))
+                 span["shard"], span_label(span)))
+
+
+def span_label(span):
+    """Timeline label: tx attempt details, wait:<cause>, or the kind."""
+    if span["kind"] == "tx":
+        label = "tx#%d %-7s %s" % (
+            span.get("attempt", 0), span.get("outcome", "?"),
+            span.get("site", ""))
+        if span.get("serial"):
+            label += " [serial]"
+        if span.get("cause"):
+            label += " (%s)" % span["cause"]
+        return label
+    if span["kind"] == "wait":
+        return "wait:%s" % span.get("cause", "?")
+    return span["kind"]
 
 
 def print_blame(shards):
@@ -243,14 +249,22 @@ def selftest():
         ("committed optimistic attempt is work, not blame",
          shards[1]["abort"] == 0 and shards[1]["serial"] == 0),
     ]
-    # A quiescence wait nests inside its tx attempt: it renders as its
-    # own timeline row but must not move any blame bucket.
+    # Quiescence and serial-lock waits nest inside their tx attempt,
+    # an alloc wait sits between attempts: each renders as its own
+    # timeline row but must not move any blame bucket.
     waited = json.loads(json.dumps(doc))
-    waited["requests"][0]["spans"].insert(
-        4, {"kind": "wait", "shard": 3, "t0_ns": 650000,
-            "dur_ns": 40000, "cause": "quiesce"})
-    checks.append(("wait span leaves the blame buckets unchanged",
+    spans = waited["requests"][0]["spans"]
+    spans.insert(4, {"kind": "wait", "shard": 3, "t0_ns": 650000,
+                     "dur_ns": 40000, "cause": "quiesce"})
+    spans.insert(4, {"kind": "wait", "shard": 3, "t0_ns": 611000,
+                     "dur_ns": 30000, "cause": "serial_lock"})
+    spans.insert(3, {"kind": "wait", "shard": 3, "t0_ns": 602000,
+                     "dur_ns": 5000, "cause": "alloc"})
+    checks.append(("wait spans leave the blame buckets unchanged",
                    shard_blame(waited["requests"]) == shards))
+    checks.append(("wait spans are labelled by cause",
+                   [span_label(s) for s in spans if s["kind"] == "wait"]
+                   == ["wait:alloc", "wait:serial_lock", "wait:quiesce"]))
     print_timeline(waited["requests"][0], 0)
     ok = True
     for name, passed in checks:

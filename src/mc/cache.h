@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/padded.h"
+#include "obs/probe.h"
 #include "tm/domain.h"
 #include "tm/runtime.h"
 #include "mc/assoc.h"
@@ -946,7 +947,11 @@ class CacheCore
     void
     awaitRebalance(std::uint64_t seen)
     {
+        // Declared first, so a real wait's record is emitted unlocked.
+        obs::probe::WaitStamp wait("alloc");
         std::unique_lock<std::mutex> ul(rebalDoneMu_);
+        if (rebalDone_ == seen)
+            wait.spin();  // wait_for below will block.
         rebalDoneCv_.wait_for(ul, std::chrono::milliseconds(100),
                               [&] { return rebalDone_ != seen; });
     }

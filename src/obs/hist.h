@@ -10,7 +10,7 @@
  *
  * Hot-path cost is one relaxed fetch_add on a bucket counter plus the
  * shift/clz to find the bucket — no locks, no allocation. Recorders
- * are striped: each thread hashes to its own cache-line-padded stripe
+ * are striped: each thread slot maps to a cache-line-padded stripe
  * so concurrent record() calls do not bounce a shared line (the same
  * padding discipline as the orec table, common/padded.h).
  *
@@ -32,6 +32,7 @@
 #include <memory>
 
 #include "common/compiler.h"
+#include "common/thread_slot.h"
 
 namespace tmemc::obs
 {
@@ -216,17 +217,12 @@ class Histogram
         std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets{};
     };
 
+    /** Slots are claimed lowest-first, so the common case is a
+     *  single-writer stripe. */
     static unsigned
     stripeIndex()
     {
-        // One registration per thread; the counter spreads threads
-        // round-robin across stripes, so the common case is a
-        // single-writer stripe.
-        // atom-protocol: relaxed-counter
-        static std::atomic<unsigned> next{0};
-        thread_local unsigned mine =
-            next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-        return mine;
+        return static_cast<unsigned>(thread_slot::index() % kStripes);
     }
 
     std::unique_ptr<Stripe[]> stripes_;

@@ -1,8 +1,7 @@
 /**
  * @file
- * The event stream's per-thread rings, the registry that keeps them
- * alive past thread exit, the crash-dump hook, and the request
- * boundaries that hand a ring slice to the tail tracer.
+ * The event stream's per-slot rings, the crash-dump hook, and the
+ * request boundaries that hand a ring slice to the tail tracer.
  */
 
 #include "obs/probe.h"
@@ -15,6 +14,7 @@
 
 #include "common/fault.h"
 #include "common/logging.h"
+#include "common/thread_slot.h"
 #include "obs/tail.h"
 
 namespace tmemc::obs::probe
@@ -55,8 +55,8 @@ eventName(Event ev)
 namespace
 {
 
-/** One thread's ring. The owner takes mu on every armed append, a
- *  dump or fold while reading, so appends stay uncontended except
+/** One thread slot's ring. The owner takes mu on every armed append,
+ *  a dump or fold while reading, so appends stay uncontended except
  *  during a dump. Positions are monotonic (slot = pos % capacity);
  *  records below `floor` were discarded by resetRing(). */
 struct Ring
@@ -85,8 +85,10 @@ struct Ring
     }
 };
 
-std::mutex g_ringsMu;
-std::vector<std::shared_ptr<Ring>> g_rings;
+/** Ring per thread slot, allocated by the slot's owner on its first
+ *  record and never freed, so a ring outlives its threads. */
+// atom-protocol: release-acquire-pair
+std::atomic<Ring *> g_slotRing[thread_slot::kCapacity] = {};
 
 /** Between a traced requestBegin and its requestEnd. Tested before
  *  myRing(), so a tail-only thread gets a ring only when it records. */
@@ -95,22 +97,29 @@ thread_local bool t_inRequest = false;
 Ring &
 myRing()
 {
-    thread_local std::shared_ptr<Ring> ring = [] {
-        auto r = std::make_shared<Ring>();
-        std::lock_guard<std::mutex> guard(g_ringsMu);
-        g_rings.push_back(r);
-        return r;
-    }();
+    const std::size_t slot = thread_slot::index();
+    Ring *ring = g_slotRing[slot].load(std::memory_order_acquire);
+    if (ring == nullptr) {
+        ring = new Ring;
+        g_slotRing[slot].store(ring, std::memory_order_release);
+    }
     return *ring;
 }
 
-/** Copy of the ring list; each ring is then read under its own lock,
- *  so a recording thread blocks only for its own ring's fold. */
-std::vector<std::shared_ptr<Ring>>
-allRings()
+/** Call @p fn(slot, ring) for every slot's ring. Each ring is read
+ *  under its own lock, so a recording thread blocks only for its own
+ *  ring's turn. */
+template <typename F>
+void
+forEachRing(F fn)
 {
-    std::lock_guard<std::mutex> guard(g_ringsMu);
-    return g_rings;
+    const std::size_t n = thread_slot::highWater();
+    for (std::size_t slot = 0; slot < n; ++slot) {
+        if (Ring *ring = g_slotRing[slot].load(std::memory_order_acquire)) {
+            std::lock_guard<std::mutex> guard(ring->mu);
+            fn(slot, *ring);
+        }
+    }
 }
 
 /** Crash hook: dump to stderr on panic()/fatal() while armed. */
@@ -218,28 +227,22 @@ disarmRing()
 void
 resetRing()
 {
-    for (auto &ring : allRings()) {
-        std::lock_guard<std::mutex> guard(ring->mu);
-        ring->floor = ring->written;
-    }
+    forEachRing([](std::size_t, Ring &ring) { ring.floor = ring.written; });
 }
 
 std::string
 dumpRing()
 {
     std::ostringstream os;
-    const auto rings = allRings();
-    for (std::size_t thread = 0; thread < rings.size(); ++thread) {
-        Ring *ring = rings[thread].get();
-        std::lock_guard<std::mutex> guard(ring->mu);
-        const std::uint64_t first = ring->first();
-        if (first > ring->floor) {
-            os << "thread " << thread << ": "
-               << (first - ring->floor) << " older records overwritten\n";
+    forEachRing([&](std::size_t slot, Ring &ring) {
+        const std::uint64_t first = ring.first();
+        if (first > ring.floor) {
+            os << "slot " << slot << ": " << (first - ring.floor)
+               << " older records overwritten\n";
         }
-        for (std::uint64_t i = first; i < ring->written; ++i) {
-            const Record &r = ring->recs[i % kRingCapacity];
-            os << "t=" << r.ns << " thread=" << thread << ' '
+        for (std::uint64_t i = first; i < ring.written; ++i) {
+            const Record &r = ring.recs[i % kRingCapacity];
+            os << "t=" << r.ns << " slot=" << slot << ' '
                << eventName(r.kind)
                << " site=" << (r.site != nullptr ? r.site : "?")
                << " shard=" << r.shard;
@@ -249,7 +252,7 @@ dumpRing()
                 os << " cause=" << r.cause;
             os << '\n';
         }
-    }
+    });
     return os.str();
 }
 

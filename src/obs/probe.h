@@ -1,6 +1,6 @@
 /**
  * @file
- * The TM event stream: one fixed-capacity per-thread ring that every
+ * The TM event stream: one fixed-capacity ring per thread slot that every
  * transaction lifecycle point and every request boundary feeds once,
  * behind one armed bitmask.
  *
@@ -24,13 +24,15 @@
  * traced request (maintenance threads, in-process benches) record
  * nothing.
  *
- * Rings outlive their threads: the registry keeps shared ownership,
- * so a post-mortem dump still shows events from exited workers.
+ * Rings belong to thread slots (common/thread_slot.h) and are never
+ * freed, so a post-mortem dump still shows events from exited workers;
+ * a thread that later claims the slot appends to the same ring.
  */
 
 #ifndef TMEMC_OBS_PROBE_H
 #define TMEMC_OBS_PROBE_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -107,7 +109,7 @@ namespace detail
 // atom-protocol: armed-latch
 extern std::atomic<std::uint8_t> g_armed;
 
-/** Slow path: append to this thread's ring (registers it on first
+/** Slow path: append to this thread's ring (allocated on first
  *  use). Only reached while some bit is armed. */
 void emitSlow(Event ev, const char *site, std::uint32_t arg,
               const char *cause, bool serial);
@@ -173,6 +175,41 @@ requestEnd(const Request &req)
     return detail::requestEndSlow(req, now);
 }
 
+/**
+ * Times one wait for a Wait record: the first spin() while armed
+ * stamps the clock, and the destructor emits one record (@p site,
+ * spun ns). A wait that never spins, or runs disarmed, reads no clock
+ * and emits nothing. @p site must be a static string.
+ */
+class WaitStamp
+{
+  public:
+    explicit WaitStamp(const char *site) : site_(site) {}
+    WaitStamp(const WaitStamp &) = delete;
+    WaitStamp &operator=(const WaitStamp &) = delete;
+
+    ~WaitStamp()
+    {
+        if (t0_ != 0) {
+            emit(Event::Wait, site_,
+                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                     nowNanos() - t0_, UINT32_MAX)));
+        }
+    }
+
+    /** Call before each spin or block. */
+    void
+    spin()
+    {
+        if (t0_ == 0 && armed() != 0)
+            t0_ = nowNanos();
+    }
+
+  private:
+    const char *site_;
+    std::uint64_t t0_ = 0;
+};
+
 /** Arm the flight recorder and install the crash-dump hook. */
 void armRing();
 
@@ -183,9 +220,9 @@ void disarmRing();
 void resetRing();
 
 /**
- * Render every ring, one "t=<ns> thread=<n> <event> site=<name>
+ * Render every ring, one "t=<ns> slot=<n> <event> site=<name>
  * shard=<s>" line per record (plus " arg=<a>" / " cause=<c>" where
- * set) in per-thread ring order, oldest surviving record first.
+ * set) in per-slot ring order, oldest surviving record first.
  */
 std::string dumpRing();
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Runtime singleton, thread registry, quiescence, and the
+ * Runtime singleton, per-slot descriptors, quiescence, and the
  * begin/commit/abort orchestration behind tm::run().
  */
 
@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <new>
 #include <thread>
 
 #include "common/logging.h"
@@ -24,9 +25,7 @@ Runtime::Runtime() : home_(RuntimeCfg{}.orecTableBits)
 {
     configure(RuntimeCfg{});
     // Fold the cross-thread stats into the metrics registry under the
-    // "tm_" prefix. The callback runs outside the registry's own lock
-    // (snapshot() copies the source list first), so taking regLock_
-    // inside Runtime::snapshot() is safe.
+    // "tm_" prefix.
     obs::MetricsRegistry::get().registerSource("tm", [this] {
         const StatBlock total = this->snapshot().total;
         std::vector<obs::Counter> out;
@@ -43,11 +42,10 @@ Runtime::get()
     return instance;
 }
 
+// atom-nonblocking: scans the thread slots like quiesce()
 void
 Runtime::configure(const RuntimeCfg &cfg)
 {
-    // Validate before taking regLock_: fatal() runs exit(), which runs
-    // this thread's TLS destructors, which re-enter the registry lock.
     if (!cfg.useSerialLock && cfg.cm == CmKind::SerialAfterN) {
         fatal("SerialAfterN contention management requires the serial "
               "lock; configure a different CM for NoLock mode");
@@ -55,14 +53,12 @@ Runtime::configure(const RuntimeCfg &cfg)
     if (!cfg.useSerialLock && cfg.algo == AlgoKind::Serial)
         fatal("the Serial algorithm requires the serial lock");
 
-    bool in_flight = false;
-    std::lock_guard<std::mutex> guard(regLock_);
-    for (TxDesc *d : threads_) {
-        if (d->state != RunState::Inactive)
-            in_flight = true;
+    const std::size_t n = thread_slot::highWater();
+    for (std::size_t i = 0; i < n; ++i) {
+        const TxDesc *d = descs_[i].load(std::memory_order_acquire);
+        if (d != nullptr && d->state != RunState::Inactive)
+            panic("Runtime::configure called with a transaction in flight");
     }
-    if (in_flight)
-        panic("Runtime::configure called with a transaction in flight");
 
     cfg_ = cfg;
     algo_ = &algoFor(cfg.algo);
@@ -70,40 +66,36 @@ Runtime::configure(const RuntimeCfg &cfg)
     home_.reset(cfg.orecTableBits);
 }
 
-void
-Runtime::registerThread(TxDesc *d)
+TxDesc &
+Runtime::myDesc()
 {
-    std::lock_guard<std::mutex> guard(regLock_);
-    d->threadId = nextThreadId_++;
-    threads_.push_back(d);
+    const thread_slot::Claim &me = thread_slot::mine();
+    TxDesc *d = descs_[me.index].load(std::memory_order_acquire);
+    if (d == nullptr) [[unlikely]] {
+        d = new (descStore_[me.index]) TxDesc;
+        descs_[me.index].store(d, std::memory_order_release);
+    }
+    // A new owner of the slot: same descriptor, fresh thread id (the
+    // opacity checker keys program order on it).
+    d->threadId = me.id;
+    return *d;
 }
 
-void
-Runtime::unregisterThread(TxDesc *d)
-{
-    std::lock_guard<std::mutex> guard(regLock_);
-    if (d->statsEpoch.load(std::memory_order_acquire) == statsEpoch())
-        d->stats.foldInto(departed_);
-    std::erase(threads_, d);
-}
-
+// atom-nonblocking: every committer scans; descriptors are never freed
 void
 Runtime::quiesce(TxDomain *domain, std::uint64_t commit_time,
                  const TxDesc *self)
 {
-    // Hold the registry lock for the whole wait so no descriptor can
-    // be destroyed under us. This cannot deadlock: callers quiesce
-    // only after unpublishing their own attempt, so a second committer
-    // blocked on this mutex no longer holds anyone else up.
-    std::lock_guard<std::mutex> guard(regLock_);
     // Pairs with the fence in TxDesc::publishStart: the commit's orec
-    // and clock stores are ordered before the pubStart loads below.
+    // and clock stores are ordered before the loads below. A thread's
+    // slot claim stores the high-water mark and its descriptor before
+    // its first publishStart, so the same pair covers a new thread.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    // Stamped at the first spin only: a wait-free quiesce (the common
-    // case) reads no clock and emits nothing.
-    std::uint64_t wait_t0 = 0;
-    for (TxDesc *other : threads_) {
-        if (other == self)
+    obs::probe::WaitStamp wait("quiesce");
+    const std::size_t n = thread_slot::highWater();
+    for (std::size_t i = 0; i < n; ++i) {
+        const TxDesc *other = descs_[i].load(std::memory_order_acquire);
+        if (other == nullptr || other == self)
             continue;
         for (;;) {
             const std::uint64_t pub =
@@ -118,73 +110,58 @@ Runtime::quiesce(TxDomain *domain, std::uint64_t commit_time,
             // transaction or one that already unpublished.
             if (other->domain.load(std::memory_order_relaxed) != domain)
                 break;
-            if (wait_t0 == 0 && obs::probe::armed() != 0)
-                wait_t0 = obs::nowNanos();
+            wait.spin();
             std::this_thread::yield();
         }
     }
-    if (wait_t0 != 0) {
-        const std::uint64_t spun = obs::nowNanos() - wait_t0;
-        obs::probe::emit(obs::probe::Event::Wait, "quiesce",
-                         static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                             spun, UINT32_MAX)));
+}
+
+StatsSnapshot
+Runtime::fold() const
+{
+    const std::size_t n = thread_slot::highWater();
+    StatsSnapshot snap;
+    snap.abortsPerThread.resize(n);
+    snap.commitsPerThread.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (const TxDesc *d = descs_[i].load(std::memory_order_acquire)) {
+            const StatBlock sum = d->stats.foldInto(snap);
+            snap.abortsPerThread[i] = sum.aborts;
+            snap.commitsPerThread[i] = sum.commits;
+        }
     }
+    return snap;
 }
 
 StatsSnapshot
 Runtime::snapshot()
 {
-    std::lock_guard<std::mutex> guard(regLock_);
-    StatsSnapshot snap = departed_;
-    // A block from before the last reset is stale until its owner's
-    // next begin zeroes it. Live owners keep counting during the fold;
-    // ThreadStats makes that read race-free.
-    const std::uint64_t epoch = statsEpoch();
-    for (const TxDesc *d : threads_) {
-        if (d->statsEpoch.load(std::memory_order_acquire) == epoch)
-            d->stats.foldInto(snap);
-    }
+    // The mutex hand-off orders this fold's counter reads after the
+    // baseline's, and read-read coherence then guarantees that no
+    // counter reads below its baseline: the subtraction cannot wrap.
+    std::lock_guard<std::mutex> guard(statsMu_);
+    StatsSnapshot snap = fold();
+    snap.subtract(statsBase_);
     return snap;
 }
 
 void
 Runtime::resetStats()
 {
-    std::lock_guard<std::mutex> guard(regLock_);
-    statsEpoch_.fetch_add(1, std::memory_order_release);
-    departed_ = StatsSnapshot{};
+    std::lock_guard<std::mutex> guard(statsMu_);
+    statsBase_ = fold();
 }
-
-// ---------------------------------------------------------------------
-// Thread-local descriptor
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** Registers the descriptor on construction, retires it on thread exit. */
-struct DescHolder
-{
-    TxDesc desc;
-
-    DescHolder() { Runtime::get().registerThread(&desc); }
-    ~DescHolder() { Runtime::get().unregisterThread(&desc); }
-};
-
-thread_local DescHolder tlsDesc;
-
-} // namespace
 
 TxDesc &
 myDesc()
 {
-    return tlsDesc.desc;
+    return Runtime::get().myDesc();
 }
 
 bool
 inTransaction()
 {
-    return tlsDesc.desc.nesting > 0;
+    return myDesc().nesting > 0;
 }
 
 #if TMEMC_TM_STRICT
@@ -195,13 +172,13 @@ namespace strict
 bool
 inSpeculativeTx()
 {
-    return tlsDesc.desc.state == RunState::Speculative;
+    return myDesc().state == RunState::Speculative;
 }
 
 void
 violation(const void *addr, const char *what)
 {
-    const TxDesc &d = tlsDesc.desc;
+    const TxDesc &d = myDesc();
     std::fprintf(stderr,
                  "tm-strict: uninstrumented access to shared word %p via "
                  "%s inside %s transaction '%s' (thread %llu)\n",
@@ -353,11 +330,6 @@ setupTop(Runtime &rt, TxDesc &d, const TxnAttr &attr)
     d.obsStartNs = obs::nowNanos();
     d.obsSerialStartNs = 0;
     d.obsAttempts = 0;
-    const std::uint64_t epoch = rt.statsEpoch();
-    if (d.statsEpoch.load(std::memory_order_acquire) != epoch) {
-        d.stats.clear();
-        d.statsEpoch.store(epoch, std::memory_order_release);
-    }
     d.onCommitHandlers.clear();
     d.onAbortHandlers.clear();
     d.commitFrees.clear();

@@ -1,8 +1,8 @@
 /**
  * @file
  * Global TM runtime: configuration, clocks, orec table, the serial
- * lock, thread registry, and the begin/commit/abort orchestration used
- * by tm::run().
+ * lock, one descriptor per thread slot, and the begin/commit/abort
+ * orchestration used by tm::run().
  *
  * This is the library analogue of libitm's global state. It is a
  * process-wide singleton; configure() swaps algorithms, contention
@@ -14,11 +14,12 @@
 #define TMEMC_TM_RUNTIME_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
+#include "common/thread_slot.h"
 #include "tm/algo.h"
 #include "tm/attr.h"
 #include "tm/cm.h"
@@ -62,12 +63,12 @@ class Runtime
     /** Home-domain ownership-record table (compat accessor). */
     OrecTable &orecs() { return home_.orecs(); }
 
-    // ------------------------------------------------------------------
-    // Thread registry (the separate thread-creation lock GCC needed
-    // once the readers/writer lock was removed)
-    // ------------------------------------------------------------------
-    void registerThread(TxDesc *d);
-    void unregisterThread(TxDesc *d);
+    /**
+     * This thread's descriptor: the one kept for its thread slot
+     * (common/thread_slot.h), constructed on the slot's first claim
+     * and never destroyed, so a scan of the slots needs no lock.
+     */
+    TxDesc &myDesc();
 
     /**
      * Commit-time quiescence for privatization safety: wait until no
@@ -81,23 +82,18 @@ class Runtime
     // ------------------------------------------------------------------
     // Statistics
     // ------------------------------------------------------------------
-    /** Aggregate statistics across live and departed threads. */
+    /**
+     * Statistics since the last resetStats(), across every thread
+     * slot: a thread that exited still counts, in its slot.
+     */
     StatsSnapshot snapshot();
     /**
-     * Zero all statistics (between benchmark phases). Safe while other
-     * threads are registered, parked or even mid-transaction: it moves
-     * the stats epoch rather than writing their blocks, each thread
-     * zeroes its own block at its next transaction begin, and
-     * snapshot() counts a block only once it has caught up.
+     * Start a new statistics window (between benchmark phases). Safe
+     * while other threads run transactions: counters only grow, so
+     * this records their current fold as the baseline snapshot()
+     * subtracts.
      */
     void resetStats();
-
-    /** Current stats epoch (see resetStats). */
-    std::uint64_t
-    statsEpoch() const
-    {
-        return statsEpoch_.load(std::memory_order_acquire);
-    }
 
   private:
     Runtime();
@@ -107,15 +103,20 @@ class Runtime
     ContentionManager *cm_ = nullptr;
     TxDomain home_;
 
-    std::mutex regLock_;
-    std::vector<TxDesc *> threads_;
-    /** Counts folded from threads that exited in this epoch. */
-    StatsSnapshot departed_;
-    /** Read by every transaction begin: kept off regLock_'s line,
-     *  which every writer commit's quiesce() takes. */
+    /** Counters only grow; the fold minus statsBase_ is the window's. */
+    StatsSnapshot fold() const;
+
     // atom-protocol: release-acquire-pair
-    alignas(64) std::atomic<std::uint64_t> statsEpoch_{0};
-    std::uint64_t nextThreadId_ = 1;
+    std::atomic<TxDesc *> descs_[thread_slot::kCapacity] = {};
+    /** One block for every slot's descriptor. Allocated per thread,
+     *  descriptors would sit at one offset in 64 MiB-aligned malloc
+     *  arenas, and the pubStart lines a quiesce() scan loads would
+     *  all map to one cache set. Untouched slots cost no memory. */
+    alignas(TxDesc) std::byte descStore_[thread_slot::kCapacity]
+                                        [sizeof(TxDesc)];
+    /** Taken by stats readers only: snapshot() and resetStats(). */
+    std::mutex statsMu_;
+    StatsSnapshot statsBase_;
 };
 
 namespace detail

@@ -9,6 +9,10 @@
  * speculation. This is deliberately a single shared-counter lock: the
  * cache-line ping-ponging it causes is the bottleneck the paper
  * removes in Figure 10 ("NoLock" runtime configuration).
+ *
+ * A wait for the lock emits one `serial_lock` wait record to the
+ * armed event stream (obs/probe.h), so a request stalled here names
+ * the cause in its tail span chain.
  */
 
 #ifndef TMEMC_TM_SERIAL_LOCK_H
@@ -21,6 +25,7 @@
 #include "common/backoff.h"
 #include "common/compiler.h"
 #include "common/padded.h"
+#include "obs/probe.h"
 
 namespace tmemc::tm
 {
@@ -36,12 +41,14 @@ class SerialLock
     void
     readLock()
     {
+        obs::probe::WaitStamp wait("serial_lock");
         for (;;) {
             // Bounded spin, then yield: with more software threads
             // than cores, pure spinning convoys behind a descheduled
             // serial transaction.
             for (int spins = 0;
                  writer_.load(std::memory_order_acquire); ++spins) {
+                wait.spin();
                 if (spins < 64)
                     cpuRelax();
                 else
@@ -66,14 +73,18 @@ class SerialLock
     void
     writeLock()
     {
+        obs::probe::WaitStamp wait("serial_lock");
         std::uint32_t expected = 0;
         while (!writer_.compare_exchange_weak(expected, 1,
                                               std::memory_order_acquire)) {
             expected = 0;
+            wait.spin();
             cpuRelax();
         }
-        while (readers_.load(std::memory_order_acquire) != 0)
+        while (readers_.load(std::memory_order_acquire) != 0) {
+            wait.spin();
             std::this_thread::yield();
+        }
     }
 
     /** Release write mode. */
@@ -98,8 +109,11 @@ class SerialLock
             return false;
         // Drop our own read hold, then wait for the other readers.
         readers_.fetch_sub(1, std::memory_order_release);
-        while (readers_.load(std::memory_order_acquire) != 0)
+        obs::probe::WaitStamp wait("serial_lock");
+        while (readers_.load(std::memory_order_acquire) != 0) {
+            wait.spin();
             std::this_thread::yield();
+        }
         return true;
     }
 

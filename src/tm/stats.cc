@@ -1,8 +1,8 @@
 /**
  * @file
- * Per-thread live statistics (site slots, site blocks, blame map, the
- * snapshot fold) and the formatting: the Tables 1-4 row renderer and
- * the per-site profile report.
+ * Per-slot live statistics (site slots, site blocks, blame map, the
+ * snapshot fold, the window subtraction) and the formatting: the
+ * Tables 1-4 row renderer and the per-site profile report.
  */
 
 #include "tm/stats.h"
@@ -42,13 +42,6 @@ countWithPct(std::uint64_t count, std::uint64_t denom)
 
 } // namespace
 
-void
-LiveBlock::clear()
-{
-    for (auto &c : n)
-        c.store(0, std::memory_order_relaxed);
-}
-
 bool
 LiveBlock::addTo(StatBlock &out) const
 {
@@ -59,12 +52,6 @@ LiveBlock::addTo(StatBlock &out) const
         any = any || v != 0;
     }
     return any;
-}
-
-ThreadStats::~ThreadStats()
-{
-    for (auto &b : sites_)
-        delete b.load(std::memory_order_acquire);
 }
 
 std::uint32_t
@@ -89,21 +76,9 @@ ThreadStats::blame(const TxnAttr &attr, const char *what)
     blame_[&attr][what]++;
 }
 
-void
-ThreadStats::clear()
-{
-    for (auto &b : sites_) {
-        if (LiveBlock *site = b.load(std::memory_order_acquire))
-            site->clear();
-    }
-    std::lock_guard<std::mutex> guard(blameMu_);
-    blame_.clear();
-}
-
-void
+StatBlock
 ThreadStats::foldInto(StatsSnapshot &snap) const
 {
-    // The thread's totals are the sum of its site blocks.
     StatBlock sum;
     {
         std::lock_guard<std::mutex> guard(g_slotMu);
@@ -117,12 +92,40 @@ ThreadStats::foldInto(StatsSnapshot &snap) const
         }
     }
     snap.total.add(sum);
-    snap.abortsPerThread.push_back(sum.aborts);
-    snap.commitsPerThread.push_back(sum.commits);
     std::lock_guard<std::mutex> blame_guard(blameMu_);
     for (const auto &[attr, causes] : blame_) {
         for (const auto &[what, count] : causes)
             snap.switchBlame[attr][what] += count;
+    }
+    return sum;
+}
+
+void
+StatsSnapshot::subtract(const StatsSnapshot &base)
+{
+    const auto sub = [](StatBlock &b, const StatBlock &o) {
+        for (const StatField &f : kStatFields)
+            b.*f.field -= o.*f.field;
+    };
+    sub(total, base.total);
+    for (const auto &[attr, b] : base.perSite) {
+        StatBlock &mine = perSite[attr];
+        sub(mine, b);
+        if (mine == StatBlock{})
+            perSite.erase(attr);
+    }
+    for (const auto &[attr, causes] : base.switchBlame) {
+        auto &mine = switchBlame[attr];
+        for (const auto &[what, count] : causes) {
+            if ((mine[what] -= count) == 0)
+                mine.erase(what);
+        }
+        if (mine.empty())
+            switchBlame.erase(attr);
+    }
+    for (std::size_t i = 0; i < base.abortsPerThread.size(); ++i) {
+        abortsPerThread[i] -= base.abortsPerThread[i];
+        commitsPerThread[i] -= base.commitsPerThread[i];
     }
 }
 

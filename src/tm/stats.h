@@ -3,11 +3,11 @@
  * Transaction statistics, including the serialization-cause taxonomy
  * the paper reports in Tables 1-4.
  *
- * Counters are kept per thread (single writer, no sharing on the hot
- * path) and aggregated on demand. In addition to global counters we
- * keep a per-site profile keyed by TxnAttr; this stands in for the
- * execinfo-based profiling extension the authors added to GCC's TM
- * ("Expect Limited Tool Support", Section 6).
+ * Counters are kept per thread slot (single writer, no sharing on the
+ * hot path), only ever grow, and are aggregated on demand. In addition
+ * to global counters we keep a per-site profile keyed by TxnAttr; this
+ * stands in for the execinfo-based profiling extension the authors
+ * added to GCC's TM ("Expect Limited Tool Support", Section 6).
  */
 
 #ifndef TMEMC_TM_STATS_H
@@ -43,6 +43,8 @@ struct StatBlock
 
     /** Accumulate another block into this one. */
     void add(const StatBlock &o);
+
+    bool operator==(const StatBlock &) const = default;
 };
 
 /** The StatBlock counters, in `stats tm` row order. */
@@ -100,8 +102,8 @@ StatBlock::add(const StatBlock &o)
  */
 struct LiveBlock
 {
-    // atom-protocol: relaxed-ok(single writer; a reader tolerates a
-    // count one bump stale, and the stats epoch orders resets)
+    // atom-protocol: relaxed-ok(single writer that only increments; a
+    // reader tolerates a count one bump stale)
     std::atomic<std::uint64_t> n[kStatCount] = {};
 
     void
@@ -111,7 +113,6 @@ struct LiveBlock
         n[i].store(n[i].load(std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
     }
-    void clear();
     /** Add into @p out; @return false if every counter read 0. */
     bool addTo(StatBlock &out) const;
 };
@@ -119,10 +120,11 @@ struct LiveBlock
 struct StatsSnapshot;
 
 /**
- * Per-thread statistics, attached to a TxDesc. Only the owning thread
- * writes them; Runtime::snapshot() folds them from another thread
- * while the owner keeps running. Per-site blocks are allocated on
- * first use and indexed by the site's dense TxnAttr::statSlot, so a
+ * Per-slot statistics, attached to a TxDesc: every thread that holds
+ * the slot adds to them, and they are never zeroed. Only the current
+ * owner writes them; Runtime::snapshot() folds them from another
+ * thread while the owner keeps running. Per-site blocks are allocated
+ * on first use and indexed by the site's dense TxnAttr::statSlot, so a
  * bump is an array index, not a map lookup. Serialization blame —
  * which unsafe operation forced each site's in-flight switches, the
  * diagnostic the paper's authors had to hack into GCC with execinfo —
@@ -134,7 +136,6 @@ class ThreadStats
     ThreadStats() = default;
     ThreadStats(const ThreadStats &) = delete;
     ThreadStats &operator=(const ThreadStats &) = delete;
-    ~ThreadStats();
 
     /** @p attr's block, allocated on first use. Owner only. */
     LiveBlock &
@@ -155,13 +156,9 @@ class ThreadStats
      *  static string). */
     void blame(const TxnAttr &attr, const char *what);
 
-    /** Zero every counter. Owner only, before it publishes a new
-     *  stats epoch. */
-    void clear();
-
-    /** Add this thread's counts into @p snap. Any thread, while the
-     *  owner is registered with the runtime. */
-    void foldInto(StatsSnapshot &snap) const;
+    /** Add these counts into @p snap's sites and blame, and @return
+     *  their sum (which the caller adds to the total). Any thread. */
+    StatBlock foldInto(StatsSnapshot &snap) const;
 
   private:
     static constexpr std::size_t kMaxSites = 1024;
@@ -175,7 +172,7 @@ class ThreadStats
         blame_;
 };
 
-/** Aggregated snapshot across all registered threads. */
+/** Aggregated snapshot across all thread slots. */
 struct StatsSnapshot
 {
     StatBlock total;
@@ -183,10 +180,17 @@ struct StatsSnapshot
     std::map<const TxnAttr *, std::map<const char *, std::uint64_t>>
         switchBlame;
 
-    /** Per-thread abort counts; Figure 11's commentary uses the
-     *  cross-thread variance in abort rate. */
+    /** Abort and commit counts per thread slot, indexed by slot (zero
+     *  for an idle slot). A slot sums every thread that held it in the
+     *  window; in a benchmark phase whose threads all start after the
+     *  reset and run to its end, a slot is one thread. Figure 11's
+     *  commentary uses the cross-thread variance in abort rate. */
     std::vector<std::uint64_t> abortsPerThread;
     std::vector<std::uint64_t> commitsPerThread;
+
+    /** Remove @p base, an earlier snapshot of the same counters; a
+     *  site or cause left at zero is dropped. */
+    void subtract(const StatsSnapshot &base);
 
     /** Render the Tables 1-4 row for this snapshot. */
     std::string formatTableRow(const std::string &branch_name) const;

@@ -94,8 +94,10 @@ class alignas(cachelineBytes) TxDesc
 {
   public:
     // ------------------------------------------------------------------
-    // Identity and lifecycle
+    // Identity
     // ------------------------------------------------------------------
+    /** The owning thread's id (thread_slot::mine().id); the descriptor
+     *  itself belongs to a thread slot and outlives its threads. */
     std::uint64_t threadId = 0;
 
     // ------------------------------------------------------------------
@@ -172,12 +174,8 @@ class alignas(cachelineBytes) TxDesc
     // Contention-manager state and statistics
     // ------------------------------------------------------------------
     ExpBackoff cmBackoff;
+    /** Counts of every thread that held this descriptor's slot. */
     ThreadStats stats;
-    /** Runtime stats epoch `stats` belongs to. Only the owner writes
-     *  `stats`: resetStats() moves the runtime's epoch, and the owner
-     *  zeroes its own block at its next setupTop (see resetStats). */
-    // atom-protocol: release-acquire-pair
-    std::atomic<std::uint64_t> statsEpoch{0};
 
     // ------------------------------------------------------------------
     // Opacity recorder (opacity.h; latched per attempt by beginAttempt)

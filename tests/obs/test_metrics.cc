@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_slot.h"
 #include "obs/metrics.h"
 #include "obs/probe.h"
 #include "tm/api.h"
@@ -215,6 +217,26 @@ TEST_F(MetricsTest, ClusterRowsRenderOnlyClusterCounters)
     EXPECT_EQ(reg.snapshot().asciiClusterRows(), "");
 }
 
+TEST_F(MetricsTest, TmSourceCountsExitedThreadsUntilReset)
+{
+    const auto tm_commits = [] {
+        for (const Counter &c : MetricsRegistry::get().snapshot().counters) {
+            if (c.name == "tm_commits")
+                return c.value;
+        }
+        return std::uint64_t{0};
+    };
+    commitOneTxn(kMetricsAttr);
+    tm::Runtime::get().resetStats();
+    std::thread([] {
+        for (int i = 0; i < 3; ++i)
+            commitOneTxn(kMetricsAttr);
+    }).join();
+    EXPECT_EQ(tm_commits(), 3u);
+    tm::Runtime::get().resetStats();
+    EXPECT_EQ(tm_commits(), 0u);
+}
+
 TEST_F(MetricsTest, TxHistogramRecordsCommits)
 {
     commitOneTxn(kHistAttr);
@@ -312,6 +334,20 @@ TEST_F(TraceTest, RingWrapsAtCapacity)
         probe::emit(Event::TxCommit, "wrap");
     EXPECT_EQ(ringRecords(), probe::kRingCapacity);
     EXPECT_TRUE(contains(probe::dumpRing(), "100 older records overwritten"));
+}
+
+TEST_F(TraceTest, DumpKeepsAnExitedThreadsRecords)
+{
+    probe::armRing();
+    std::size_t slot = 0;
+    std::thread([&] {
+        slot = thread_slot::index();
+        probe::emit(Event::TxCommit, "exited_thread_site");
+    }).join();
+    const std::string dump = probe::dumpRing();
+    EXPECT_TRUE(contains(dump, "slot=" + std::to_string(slot) +
+                                   " tx_commit site=exited_thread_site"))
+        << dump;
 }
 
 TEST_F(TraceTest, RuntimeEmitsTraceEventsWhenArmed)

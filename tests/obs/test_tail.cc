@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -327,32 +328,29 @@ TEST_F(TailReservoirTest, RingDumpAndChainListTheSameTxEvents)
     EXPECT_EQ(dumpTxEvents(obs::probe::dumpRing(), p->id), chain);
 }
 
-TEST_F(TailReservoirTest, QuiesceWaitShowsInTheChain)
+/**
+ * Park a transaction on another thread and run @p traced as a traced
+ * request that must wait for it. @p waiting tells the parker the
+ * traced request has begun that wait; the parker then settles so the
+ * wait surely spins, and parks. The chain must hold one @p cause
+ * wait span covering the park, which the ring dump and `stats tail`
+ * rows name too.
+ */
+template <typename Waiting, typename Traced>
+void
+expectWaitSpan(const char *cause, Waiting waiting, Traced traced)
 {
-    tm::Runtime::get().configure(tm::RuntimeCfg{});
-    obs::probe::armRing();
-    obs::tail::armTail(8);
-    static const tm::TxnAttr parked{"tail-quiesce-parked",
+    static const tm::TxnAttr parked{"tail-wait-parked",
                                     tm::TxnKind::Atomic};
-    static const tm::TxnAttr writer{"tail-quiesce-writer",
-                                    tm::TxnKind::Atomic};
-    static std::uint64_t word = 0;
     constexpr auto kSettle = std::chrono::milliseconds(20);
     constexpr auto kPark = std::chrono::milliseconds(20);
     std::atomic<bool> published{false};
     std::uint64_t park0 = 0;
     std::uint64_t park1 = 0;
-    auto &clock = tm::Runtime::get().homeDomain().clock;
-
-    // The parked transaction has published its start. It waits for the
-    // writer's commit to move the clock (the writer is then entering
-    // quiesce, which must wait this transaction out), settles so the
-    // writer's wait has surely begun, then parks.
     std::thread parker([&] {
         tm::run(parked, [&](tm::TxDesc &) {
-            const std::uint64_t c0 = clock.load(std::memory_order_acquire);
             published.store(true, std::memory_order_release);
-            while (clock.load(std::memory_order_acquire) == c0)
+            while (!waiting())
                 std::this_thread::yield();
             std::this_thread::sleep_for(kSettle);
             park0 = obs::nowNanos();
@@ -362,11 +360,7 @@ TEST_F(TailReservoirTest, QuiesceWaitShowsInTheChain)
     });
     while (!published.load(std::memory_order_acquire))
         std::this_thread::yield();
-    const PendingTrace p = traceRequest([] {
-        tm::run(writer, [](tm::TxDesc &d) {
-            tm::txStore(d, &word, std::uint64_t{1});
-        });
-    });
+    const PendingTrace p = traceRequest(traced);
     parker.join();
     ASSERT_NE(p, nullptr);
 
@@ -376,12 +370,49 @@ TEST_F(TailReservoirTest, QuiesceWaitShowsInTheChain)
             wait = &s;
     }
     ASSERT_NE(wait, nullptr) << "no wait span in the chain";
-    EXPECT_STREQ(wait->cause, "quiesce");
+    EXPECT_STREQ(wait->cause, cause);
     EXPECT_GE(wait->t1 - wait->t0, park1 - park0);
-    EXPECT_NE(obs::probe::dumpRing().find("wait site=quiesce"),
+    EXPECT_NE(obs::probe::dumpRing().find(std::string("wait site=") + cause),
               std::string::npos);
-    EXPECT_NE(obs::tail::tailAsciiRows().find(";wait:quiesce:"),
+    EXPECT_NE(obs::tail::tailAsciiRows().find(std::string(";wait:") +
+                                              cause + ":"),
               std::string::npos);
+}
+
+TEST_F(TailReservoirTest, QuiesceWaitShowsInTheChain)
+{
+    tm::Runtime::get().configure(tm::RuntimeCfg{});
+    obs::probe::armRing();
+    obs::tail::armTail(8);
+    static const tm::TxnAttr writer{"tail-quiesce-writer",
+                                    tm::TxnKind::Atomic};
+    static const tm::TxnAttr relaxed{"tail-serial-switch",
+                                     tm::TxnKind::Relaxed};
+    static std::uint64_t word = 0;
+    tm::TxDomain &home = tm::Runtime::get().homeDomain();
+
+    // The parked transaction has published its start; the writer's
+    // commit moves the clock and its quiesce must wait it out.
+    const std::uint64_t c0 = home.clock.load(std::memory_order_acquire);
+    expectWaitSpan(
+        "quiesce",
+        [&] { return home.clock.load(std::memory_order_acquire) != c0; },
+        [] {
+            tm::run(writer, [](tm::TxDesc &d) {
+                tm::txStore(d, &word, std::uint64_t{1});
+            });
+        });
+
+    // Serial switch: the parked transaction holds the serial lock in
+    // read mode, so the switched attempt's write lock waits it out.
+    obs::tail::resetTail();
+    obs::probe::resetRing();
+    expectWaitSpan(
+        "serial_lock", [&] { return home.serialLock.writeHeld(); },
+        [] {
+            tm::run(relaxed,
+                    [](tm::TxDesc &d) { tm::unsafeOp(d, "wait-op"); });
+        });
 }
 
 TEST_F(TailReservoirTest, RenderersAgreeWithSnapshot)
