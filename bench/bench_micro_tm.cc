@@ -120,6 +120,22 @@ BM_EmptyTxnNoLock(benchmark::State &state)
 }
 BENCHMARK(BM_EmptyTxnNoLock);
 
+/** BM_EmptyTxnWithSerialLock on 1 and 2 threads: a begin or commit
+ *  that writes a shared line costs more per transaction on 2. The CPU
+ *  column is one thread's cost per transaction. Named apart from
+ *  perf_gate.py's single-core A/B filter. */
+void
+BM_ParallelEmptyTxn(benchmark::State &state)
+{
+    // Threads reach the timing loop together, so no transaction runs
+    // while thread 0 configures.
+    if (state.thread_index() == 0)
+        configure(tm::AlgoKind::GccEager, true);
+    for (auto _ : state)
+        tm::run(attr, [](tm::TxDesc &) {});
+}
+BENCHMARK(BM_ParallelEmptyTxn)->Threads(1)->Threads(2)->UseRealTime();
+
 void
 BM_ReadSetScaling(benchmark::State &state)
 {

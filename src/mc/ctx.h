@@ -182,9 +182,9 @@ struct PlainCtx
 
     // -- library calls (naive same-source clones) -----------------------
     int
-    memcmpS(const void *a, const void *b, std::size_t n) const
+    memcmpS(const void *shared, const void *priv, std::size_t n) const
     {
-        return tmsafe::naive_memcmp(a, b, n);
+        return tmsafe::naive_memcmp(shared, priv, n);
     }
 
     void
@@ -373,14 +373,14 @@ struct TmCtx
 
     // -- library calls -----------------------------------------------------
     TM_CALLABLE int
-    memcmpS(const void *a, const void *b, std::size_t n) const
+    memcmpS(const void *shared, const void *priv, std::size_t n) const
     {
         noteHelper("memcmp");
         if constexpr (C.isUnsafe(UnsafeCat::Lib)) {
             tm::unsafeOp(tx, "memcmp");
-            return tmsafe::naive_memcmp(a, b, n);
+            return tmsafe::naive_memcmp(shared, priv, n);
         } else {
-            return tmsafe::tm_memcmp(tx, a, b, n);
+            return tmsafe::tm_memcmp_private(tx, shared, priv, n);
         }
     }
 

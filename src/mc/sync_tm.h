@@ -23,11 +23,13 @@
 #ifndef TMEMC_MC_SYNC_TM_H
 #define TMEMC_MC_SYNC_TM_H
 
-#include <map>
-#include <shared_mutex>
+#include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "common/backoff.h"
+#include "common/logging.h"
 #include "common/padded.h"
 #include "common/sem.h"
 #include "mc/ctx.h"
@@ -40,42 +42,81 @@ namespace tmemc::mc
 
 /**
  * Per-policy cache of TxnAttr instances, one per critical-section
- * site. Node-based map keeps attribute addresses stable (the TM
- * runtime keys its per-site profile on them).
+ * site. Every section looks its site up, so a lookup takes no lock and
+ * writes nothing: it probes a fixed open-addressing table whose keys
+ * are published with release once their attribute is filled. Only a
+ * site's first lookup takes the insert mutex. Slots are never freed or
+ * moved, so an attribute's address is stable (the TM runtime keys its
+ * per-site profile on it).
  */
 template <BranchCfg C>
 class SiteAttrRegistry
 {
   public:
+    /** Sites one branch configuration can hold; overflow panics. */
+    static constexpr std::size_t kSlots = 64;
+
     const tm::TxnAttr &
     get(const SiteInfo &site)
     {
-        {
-            std::shared_lock<std::shared_mutex> rd(mu_);
-            auto it = attrs_.find(&site);
-            if (it != attrs_.end())
-                return it->second;
+        for (std::size_t i = home(site);; i = (i + 1) % kSlots) {
+            const SiteInfo *key =
+                slots_[i].site.load(std::memory_order_acquire);
+            if (key == &site)
+                return slots_[i].attr;
+            if (key == nullptr)
+                return insert(site);
         }
-        std::unique_lock<std::shared_mutex> wr(mu_);
-        auto [it, inserted] = attrs_.try_emplace(&site);
-        if (inserted) {
-            const bool always = anyUnsafe(C, site.alwaysUnsafe);
-            const bool maybe = anyUnsafe(C, site.maybeUnsafe);
-            it->second.name = site.name;
-            it->second.kind = (always || maybe) ? tm::TxnKind::Relaxed
-                                                : tm::TxnKind::Atomic;
-            it->second.startsSerial = always;
-            // A section every path of which is read-only is eligible
-            // for the invisible-reader fast path — unless it must
-            // start serial, in which case it never runs speculatively.
-            it->second.readOnlyHint = site.readOnly && !always;
-        }
-        return it->second;
     }
 
   private:
-    std::shared_mutex mu_;
-    std::map<const SiteInfo *, tm::TxnAttr> attrs_;
+    struct Slot
+    {
+        // atom-protocol: release-acquire-pair
+        std::atomic<const SiteInfo *> site{nullptr};
+        tm::TxnAttr attr;
+    };
+
+    static std::size_t
+    home(const SiteInfo &site)
+    {
+        return (reinterpret_cast<std::uintptr_t>(&site) >> 4) % kSlots;
+    }
+
+    /** Slots fill in probe order under mu_ and never empty, so the
+     *  re-probe finds a racing insert of the same site. */
+    const tm::TxnAttr &
+    insert(const SiteInfo &site)
+    {
+        std::lock_guard<std::mutex> guard(mu_);
+        std::size_t i = home(site);
+        for (std::size_t probes = 0;; ++probes, i = (i + 1) % kSlots) {
+            if (probes == kSlots)
+                panic("SiteAttrRegistry: more than %zu sites", kSlots);
+            const SiteInfo *key =
+                slots_[i].site.load(std::memory_order_acquire);
+            if (key == &site)
+                return slots_[i].attr;
+            if (key == nullptr)
+                break;
+        }
+        tm::TxnAttr &a = slots_[i].attr;
+        const bool always = anyUnsafe(C, site.alwaysUnsafe);
+        const bool maybe = anyUnsafe(C, site.maybeUnsafe);
+        a.name = site.name;
+        a.kind = (always || maybe) ? tm::TxnKind::Relaxed
+                                   : tm::TxnKind::Atomic;
+        a.startsSerial = always;
+        // A section every path of which is read-only is eligible for
+        // the invisible-reader fast path — unless it must start
+        // serial, in which case it never runs speculatively.
+        a.readOnlyHint = site.readOnly && !always;
+        slots_[i].site.store(&site, std::memory_order_release);
+        return a;
+    }
+
+    Slot slots_[kSlots];
+    std::mutex mu_;
 };
 
 /** Transactional policy for branch configuration C. */

@@ -98,9 +98,13 @@ class HourglassCm : public ContentionManager
     void
     afterCommit(Runtime &rt, TxDesc &d) override
     {
+        // Only the neck's owner releases it. Even a failing CAS takes
+        // the line exclusive, so every other commit just loads it.
         TxDesc *expected = &d;
-        d.dom().toxic.compare_exchange_strong(expected, nullptr,
-                                         std::memory_order_acq_rel);
+        if (d.dom().toxic.load(std::memory_order_acquire) == &d) {
+            d.dom().toxic.compare_exchange_strong(
+                expected, nullptr, std::memory_order_acq_rel);
+        }
     }
 };
 

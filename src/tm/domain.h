@@ -57,7 +57,7 @@ class TxDomain
     // atom-protocol: seqlock
     std::atomic<std::uint64_t> norecSeq{0};
     /** Readers/writer serialization lock. */
-    SerialLock serialLock;
+    SerialLock serialLock{*this};
     /** Hourglass neck: when set, only the owner may begin. */
     // atom-protocol: release-acquire-pair
     std::atomic<TxDesc *> toxic{nullptr};

@@ -7,6 +7,12 @@
  * back as words "necessitated an expensive logging mechanism" — this is
  * that mechanism: a vector of entries plus an open-addressing index so
  * read-after-write lookups are O(1) rather than a scan.
+ *
+ * Index slots are stamped with the generation that filled them, and a
+ * slot of an older generation reads as empty. So clear() costs O(1)
+ * however large one big transaction grew the index: every
+ * transaction clears the log twice, and zeroing the index each time
+ * cost more than most transaction bodies.
  */
 
 #ifndef TMEMC_TM_REDO_LOG_H
@@ -40,14 +46,16 @@ class RedoLog
     insert(std::uintptr_t word_addr, std::uint64_t val, std::uint64_t mask)
     {
         std::size_t slot = findSlot(word_addr);
-        if (index_[slot].addr == word_addr) {
+        if (live(index_[slot])) {
             RedoEntry &e = entries_[index_[slot].pos];
             e.value = maskMerge(e.value, val, mask);
             e.mask |= mask;
             return;
         }
         entries_.push_back({word_addr, val & mask, mask});
-        index_[slot] = {word_addr, entries_.size() - 1};
+        index_[slot] = {word_addr,
+                        static_cast<std::uint32_t>(entries_.size() - 1),
+                        gen_};
         if (++population_ * 2 > index_.size())
             rebuildIndex(index_.size() * 2);
     }
@@ -65,7 +73,7 @@ class RedoLog
         if (entries_.empty())
             return false;
         const std::size_t slot = findSlot(word_addr);
-        if (index_[slot].addr != word_addr)
+        if (!live(index_[slot]))
             return false;
         const RedoEntry &e = entries_[index_[slot].pos];
         val = e.value;
@@ -79,29 +87,40 @@ class RedoLog
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }
 
-    /** Discard all buffered writes (abort or commit completion). */
+    /** Discard all buffered writes (abort or commit completion):
+     *  O(1), by moving to the next index generation. */
     void
     clear()
     {
+        if (entries_.empty())
+            return;
         entries_.clear();
         population_ = 0;
-        for (auto &s : index_)
-            s = {0, 0};
+        if (++gen_ == 0) {
+            // Wrapped: no stamp may alias the new generation.
+            for (Slot &s : index_)
+                s.gen = 0;
+            gen_ = 1;
+        }
     }
 
   private:
     struct Slot
     {
-        std::uintptr_t addr = 0;  //!< 0 means empty (address 0 unused).
-        std::size_t pos = 0;
+        std::uintptr_t addr = 0;
+        std::uint32_t pos = 0;
+        std::uint32_t gen = 0;  //!< Filled in generation gen; else empty.
     };
 
+    bool live(const Slot &s) const { return s.gen == gen_; }
+
+    /** The slot holding @p addr, or the empty slot where it would go. */
     std::size_t
     findSlot(std::uintptr_t addr) const
     {
         std::size_t h = (addr >> 3) * 0x9e3779b97f4a7c15ull;
         std::size_t slot = h & (index_.size() - 1);
-        while (index_[slot].addr != 0 && index_[slot].addr != addr)
+        while (live(index_[slot]) && index_[slot].addr != addr)
             slot = (slot + 1) & (index_.size() - 1);
         return slot;
     }
@@ -112,13 +131,16 @@ class RedoLog
         index_.assign(new_size, Slot{});
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             const std::size_t slot = findSlot(entries_[i].wordAddr);
-            index_[slot] = {entries_[i].wordAddr, i};
+            index_[slot] = {entries_[i].wordAddr,
+                            static_cast<std::uint32_t>(i), gen_};
         }
     }
 
     std::vector<RedoEntry> entries_;
     std::vector<Slot> index_;
     std::size_t population_ = 0;
+    /** Current generation; starts above the 0 a fresh slot carries. */
+    std::uint32_t gen_ = 1;
 };
 
 } // namespace tmemc::tm

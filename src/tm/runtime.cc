@@ -81,17 +81,25 @@ Runtime::myDesc()
     return *d;
 }
 
-// atom-nonblocking: every committer scans; descriptors are never freed
 void
 Runtime::quiesce(TxDomain *domain, std::uint64_t commit_time,
                  const TxDesc *self)
 {
-    // Pairs with the fence in TxDesc::publishStart: the commit's orec
-    // and clock stores are ordered before the loads below. A thread's
-    // slot claim stores the high-water mark and its descriptor before
-    // its first publishStart, so the same pair covers a new thread.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
     obs::probe::WaitStamp wait("quiesce");
+    waitForStarts(domain, commit_time, self, wait);
+}
+
+// atom-nonblocking: every committer scans; descriptors are never freed
+void
+Runtime::waitForStarts(const TxDomain *domain, std::uint64_t before,
+                       const TxDesc *self, obs::probe::WaitStamp &wait)
+{
+    // Pairs with the fence in TxDesc::publishStart: the caller's
+    // commit stores or writer claim are ordered before the loads
+    // below. A thread's slot claim stores the high-water mark and its
+    // descriptor before its first publishStart, so the same pair
+    // covers a new thread.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     const std::size_t n = thread_slot::highWater();
     for (std::size_t i = 0; i < n; ++i) {
         const TxDesc *other = descs_[i].load(std::memory_order_acquire);
@@ -100,14 +108,15 @@ Runtime::quiesce(TxDomain *domain, std::uint64_t commit_time,
         for (;;) {
             const std::uint64_t pub =
                 other->pubStart.load(std::memory_order_acquire);
-            if (pub == 0 || pub - 1 >= commit_time)
+            if (pub == 0 || pub - 1 >= before)
                 break;
-            // Cross-domain starts are on unrelated clocks; comparing
-            // them would stall this committer behind transactions that
-            // can never read its domain's memory. The domain store
-            // precedes the start publication (release order), so a
-            // mismatch here means either a genuinely foreign
-            // transaction or one that already unpublished.
+            // Cross-domain starts are on unrelated clocks and never
+            // hold this domain's serial lock; waiting on them would
+            // stall the caller behind transactions that can never read
+            // its domain's memory. The domain store precedes the start
+            // publication (release order), so a mismatch here means
+            // either a genuinely foreign transaction or one that
+            // already unpublished.
             if (other->domain.load(std::memory_order_relaxed) != domain)
                 break;
             wait.spin();
@@ -238,11 +247,22 @@ namespace detail
 using obs::probe::Event;
 
 /**
+ * One top-level transaction in this many per thread has its Tx
+ * latency stamped and recorded. A clock read costs about as much as
+ * a short transaction body, and there are several transactions per
+ * request; a 1-in-64 sample still fills the histogram's quantiles.
+ * Serial attempts are always stamped (they are rare), and the probe
+ * stream keeps its own stamps.
+ */
+constexpr std::uint32_t kTxSampleEvery = 64;
+
+/**
  * The one call each lifecycle point makes: bump this thread's stats
- * for @p ev, record the Tx/TxSerial/TxAttempts histograms on commit,
- * and feed the probe stream. @p cause: the unsafe op or promotion
- * trigger of a TxCause event (a static string). A template so each
- * call site compiles to its own event's work only.
+ * for @p ev, record the TxAttempts histogram and the stamped
+ * Tx/TxSerial latencies on commit, and feed the probe stream.
+ * @p cause: the unsafe op or promotion trigger of a TxCause event (a
+ * static string). A template so each call site compiles to its own
+ * event's work only.
  */
 template <Event ev>
 void
@@ -273,11 +293,14 @@ txEvent(Runtime &rt, TxDesc &d, const char *cause = nullptr)
         } else if (rt.algo().isReadOnly(d)) {
             site.bump(Stat::ReadOnlyCommits);
         }
-        const std::uint64_t end_ns = obs::nowNanos();
-        obs::hist(obs::HistKind::Tx).record(end_ns - d.obsStartNs);
-        if (d.obsSerialStartNs != 0) {
-            obs::hist(obs::HistKind::TxSerial)
-                .record(end_ns - d.obsSerialStartNs);
+        if (d.obsStartNs != 0 || d.obsSerialStartNs != 0) {
+            const std::uint64_t end_ns = obs::nowNanos();
+            if (d.obsStartNs != 0)
+                obs::hist(obs::HistKind::Tx).record(end_ns - d.obsStartNs);
+            if (d.obsSerialStartNs != 0) {
+                obs::hist(obs::HistKind::TxSerial)
+                    .record(end_ns - d.obsSerialStartNs);
+            }
         }
         // Attempts are scaled by 1000 so the histogram's microsecond-
         // named quantiles read directly as attempt counts (see
@@ -327,7 +350,8 @@ setupTop(Runtime &rt, TxDesc &d, const TxnAttr &attr)
     d.roFast = false;
     d.roPromote = false;
     d.consecAborts = 0;
-    d.obsStartNs = obs::nowNanos();
+    d.obsStartNs =
+        ++d.obsTxSeq % kTxSampleEvery == 0 ? obs::nowNanos() : 0;
     d.obsSerialStartNs = 0;
     d.obsAttempts = 0;
     d.onCommitHandlers.clear();
@@ -367,18 +391,19 @@ beginAttempt(Runtime &rt, TxDesc &d)
         d.state = RunState::SerialIrrevocable;
         return;
     }
-    if (rt.cfg().useSerialLock)
-        d.dom().serialLock.readLock();
     d.state = RunState::Speculative;
     // Invisible-reader fast path: hinted read-only sites skip the read
     // set and orec writes entirely. The start time is still published —
     // writer commits must quiesce on fast readers like any others.
-    if (rt.cfg().roFastPath && d.attr->readOnlyHint && !d.roPromote &&
-        rt.algo().beginRO(rt, d)) {
-        d.roFast = true;
-        return;
-    }
-    rt.algo().begin(rt, d);
+    // The published start is also the serial lock's read registration
+    // (serial_lock.h); a writer in the way sends us round again.
+    const bool ro_fast = rt.cfg().roFastPath && d.attr->readOnlyHint &&
+                         !d.roPromote;
+    do {
+        d.roFast = ro_fast && rt.algo().beginRO(rt, d);
+        if (!d.roFast)
+            rt.algo().begin(rt, d);
+    } while (rt.cfg().useSerialLock && !d.dom().serialLock.admitReader(d));
 }
 
 void
@@ -391,15 +416,12 @@ commitAttempt(Runtime &rt, TxDesc &d)
             // consistent snapshot already. No clock movement, nothing
             // to release, nothing to quiesce on.
             d.unpublishStart();
-            if (rt.cfg().useSerialLock)
-                d.dom().serialLock.readUnlock();
             return;
         }
         // Throws TxAbort if validation fails.
         const std::uint64_t quiesce_at = rt.algo().commit(rt, d);
+        // Also releases the serial lock's read mode.
         d.unpublishStart();
-        if (rt.cfg().useSerialLock)
-            d.dom().serialLock.readUnlock();
         // Privatization safety / safe reclamation: wait out every
         // transaction that started before this commit. Must happen
         // after unpublishing so concurrent committers cannot deadlock.
@@ -463,8 +485,6 @@ rollbackAttempt(Runtime &rt, TxDesc &d)
     d.roFast = false;
     rt.algo().rollback(rt, d);
     d.unpublishStart();
-    if (rt.cfg().useSerialLock)
-        d.dom().serialLock.readUnlock();
     // Stamp after rollback: the aborted attempt's window closes once
     // its speculative effects are fully undone.
     opacity::finishRecord(d, /*committed=*/false, /*serial=*/false,

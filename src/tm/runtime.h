@@ -79,6 +79,21 @@ class Runtime
     void quiesce(TxDomain *domain, std::uint64_t commit_time,
                  const TxDesc *self);
 
+    /** @p before for waitForStarts(): every published start. */
+    static constexpr std::uint64_t kEveryStart = ~std::uint64_t{0};
+
+    /**
+     * Wait until no descriptor but @p self has a start published in
+     * @p domain before @p before. Opens with the seq_cst fence that
+     * pairs with TxDesc::publishStart's, so a concurrent start is
+     * either seen here or sees the caller's earlier stores. quiesce()
+     * waits here for the starts older than its commit, and the serial
+     * lock's writer for every start (its readers' registrations).
+     * @p wait names the wait in the event stream.
+     */
+    void waitForStarts(const TxDomain *domain, std::uint64_t before,
+                       const TxDesc *self, obs::probe::WaitStamp &wait);
+
     // ------------------------------------------------------------------
     // Statistics
     // ------------------------------------------------------------------

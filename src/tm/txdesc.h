@@ -193,10 +193,14 @@ class alignas(cachelineBytes) TxDesc
     // ------------------------------------------------------------------
     // Observability (obs/metrics.h histograms, stamped by runtime.cc)
     // ------------------------------------------------------------------
-    /** nowNanos() at setupTop: whole-transaction latency origin. */
+    /** nowNanos() at setupTop when this transaction's latency is
+     *  sampled (0: not sampled; see kTxSampleEvery in runtime.cc). */
     std::uint64_t obsStartNs = 0;
     /** nowNanos() when the attempt entered serial mode (0: never). */
     std::uint64_t obsSerialStartNs = 0;
+    /** Top-level transactions begun on this descriptor: picks the
+     *  ones whose latency is sampled. */
+    std::uint32_t obsTxSeq = 0;
     /** Attempts (speculative + serial) of the current transaction. */
     std::uint32_t obsAttempts = 0;
 

@@ -87,6 +87,26 @@ tm_memcmp(tm::TxDesc &d, const void *a, const void *b, std::size_t n)
     return 0;
 }
 
+int
+tm_memcmp_private(tm::TxDesc &d, const void *shared, const void *priv,
+                  std::size_t n)
+{
+    const auto *ps = static_cast<const char *>(shared);
+    const auto *pp = static_cast<const char *>(priv);
+    char buf[kChunk];
+    while (n > 0) {
+        const std::size_t len = n < kChunk ? n : kChunk;
+        tm::txLoadBytes(d, buf, ps, len);
+        const int c = std::memcmp(buf, pp, len);
+        if (c != 0)
+            return c;
+        ps += len;
+        pp += len;
+        n -= len;
+    }
+    return 0;
+}
+
 void *
 tm_memset(tm::TxDesc &d, void *dst, int c, std::size_t n)
 {

@@ -245,13 +245,25 @@ TEST_F(MetricsTest, TxHistogramRecordsCommits)
         commitOneTxn(kHistAttr);
 
     const MetricsSnapshot snap = MetricsRegistry::get().snapshot();
-    EXPECT_EQ(snap.hists[unsigned(HistKind::Tx)].count, 10u);
     // Uncontended single-thread commits: exactly one attempt each,
     // recorded as attempts*1000 so p50 reads as the attempt count.
     EXPECT_EQ(snap.hists[unsigned(HistKind::TxAttempts)].count, 10u);
     EXPECT_NEAR(snap.hists[unsigned(HistKind::TxAttempts)].p50Us, 1.0,
                 0.05);
     EXPECT_EQ(snap.hists[unsigned(HistKind::TxSerial)].count, 0u);
+
+    // Tx latency is sampled: one top-level transaction in 64 per
+    // thread, so any k*64 consecutive commits on one thread give
+    // exactly k samples.
+    MetricsRegistry::get().resetHistograms();
+    constexpr unsigned kSamples = 3;
+    for (unsigned i = 0; i < kSamples * 64; ++i)
+        commitOneTxn(kHistAttr);
+    EXPECT_EQ(MetricsRegistry::get()
+                  .snapshot()
+                  .hists[unsigned(HistKind::Tx)]
+                  .count,
+              kSamples);
 }
 
 using probe::Event;

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tm/redo_log.h"
+#include "tm_test_util.h"
 
 namespace
 {
 
 using tmemc::tm::RedoLog;
+using namespace tmemc;
 
 TEST(RedoLog, EmptyLookupMisses)
 {
@@ -91,6 +95,68 @@ TEST(RedoLog, ClearForgetsEverything)
     ASSERT_TRUE(log.lookup(0x1000, v, m));
     EXPECT_EQ(v, 2u);
 }
+
+TEST(RedoLog, ClearAfterGrowthLeavesNoStaleEntries)
+{
+    RedoLog log;
+    constexpr std::uintptr_t kBase = 0x10000;
+    constexpr int kBig = 4096;
+    for (int i = 0; i < kBig; ++i)
+        log.insert(kBase + 8ull * i, i, ~0ull);
+    // Many clears of the grown index: every generation starts empty.
+    for (int round = 1; round <= 100; ++round) {
+        log.clear();
+        ASSERT_TRUE(log.empty());
+        const std::uintptr_t own = kBase + 8ull * (round % kBig);
+        log.insert(own, 1000000 + round, ~0ull);
+        std::uint64_t v = 0, m = 0;
+        ASSERT_TRUE(log.lookup(own, v, m));
+        EXPECT_EQ(v, 1000000u + round);
+        EXPECT_FALSE(log.lookup(own + 8, v, m));
+        EXPECT_FALSE(log.lookup(kBase + 8ull * (kBig - 1), v, m));
+        EXPECT_EQ(log.size(), 1u);
+    }
+}
+
+/** A transaction that grows the redo log's index must not leave
+ *  entries that a later transaction on the descriptor reads. */
+class RedoLogRuntime : public ::testing::TestWithParam<tm::AlgoKind>
+{
+};
+
+TEST_P(RedoLogRuntime, LargeTxnLeavesNoStaleEntries)
+{
+    tests::useRuntime(GetParam());
+    static const tm::TxnAttr attr{"redo-large", tm::TxnKind::Atomic};
+    constexpr std::size_t kWords = 4096;
+    std::vector<std::uint64_t> words(kWords, 0);
+    tm::run(attr, [&](tm::TxDesc &d) {
+        for (std::size_t i = 0; i < kWords; ++i)
+            tm::txStore(d, &words[i], std::uint64_t{i + 1});
+    });
+    for (std::size_t i = 0; i < kWords; ++i)
+        ASSERT_EQ(words[i], i + 1);
+    // Change memory behind the log's back (no transaction is running):
+    // a stale entry would hand a later read the old buffered value.
+    for (std::size_t i = 0; i < kWords; ++i)
+        words[i] = 7 * i;
+    for (std::size_t i = 0; i < kWords; i += 97) {
+        const std::uint64_t seen = tm::run(attr, [&](tm::TxDesc &d) {
+            tm::txStore(d, &words[i], std::uint64_t{42});
+            const std::uint64_t own = tm::txLoad(d, &words[i]);
+            const std::size_t j = (i + 1) % kWords;
+            return own * 1000000 + tm::txLoad(d, &words[j]);
+        });
+        EXPECT_EQ(seen, 42 * 1000000 + 7 * ((i + 1) % kWords));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BufferedAlgos, RedoLogRuntime,
+    ::testing::Values(tm::AlgoKind::Lazy, tm::AlgoKind::RA),
+    [](const ::testing::TestParamInfo<tm::AlgoKind> &info) {
+        return tests::algoName(info.param);
+    });
 
 TEST(RedoLog, EntriesPreserveInsertionOrder)
 {

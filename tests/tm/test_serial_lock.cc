@@ -1,96 +1,195 @@
 /**
  * @file
- * Unit tests for the global readers/writer serialization lock.
+ * Unit tests for the per-domain readers/writer serialization lock,
+ * whose readers register in their own descriptors.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
-#include "tm/serial_lock.h"
+#include "common/thread_slot.h"
+#include "tm/api.h"
 
 namespace
 {
 
-using tmemc::tm::SerialLock;
+using tmemc::tm::TxDesc;
+using tmemc::tm::TxDomain;
+
+/**
+ * Enter read mode the way a speculative begin does: publish a start in
+ * @p dom (the registration), then ask its lock to admit it.
+ */
+void
+readLock(TxDomain &dom)
+{
+    TxDesc &d = tmemc::tm::myDesc();
+    d.domain.store(&dom, std::memory_order_relaxed);
+    do
+        d.publishStart(0);
+    while (!dom.serialLock.admitReader(d));
+}
+
+void
+readUnlock()
+{
+    tmemc::tm::myDesc().unpublishStart();
+}
+
+void
+pause()
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
 
 TEST(SerialLock, ReadersShare)
 {
-    SerialLock lock;
-    lock.readLock();
-    lock.readLock();
-    lock.readUnlock();
-    lock.readUnlock();
-    SUCCEED();
+    TxDomain dom(8);
+    readLock(dom);
+    std::thread other([&] {
+        readLock(dom);
+        readUnlock();
+    });
+    other.join();
+    readUnlock();
+    EXPECT_FALSE(dom.serialLock.writeHeld());
 }
 
 TEST(SerialLock, WriterExcludesReaders)
 {
-    SerialLock lock;
+    TxDomain dom(8);
     std::atomic<bool> writer_in{false};
     std::atomic<bool> reader_done{false};
 
-    lock.writeLock();
+    dom.serialLock.writeLock();
     writer_in = true;
     std::thread reader([&] {
-        lock.readLock();
+        readLock(dom);
         EXPECT_FALSE(writer_in.load());
-        lock.readUnlock();
+        readUnlock();
         reader_done = true;
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pause();
     EXPECT_FALSE(reader_done.load());
     writer_in = false;
-    lock.writeUnlock();
+    dom.serialLock.writeUnlock();
     reader.join();
     EXPECT_TRUE(reader_done.load());
 }
 
 TEST(SerialLock, WriterWaitsForReaders)
 {
-    SerialLock lock;
+    TxDomain dom(8);
     std::atomic<bool> writer_acquired{false};
-    lock.readLock();
+    readLock(dom);
     std::thread writer([&] {
-        lock.writeLock();
+        dom.serialLock.writeLock();
         writer_acquired = true;
-        lock.writeUnlock();
+        dom.serialLock.writeUnlock();
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pause();
     EXPECT_FALSE(writer_acquired.load());
-    lock.readUnlock();
+    readUnlock();
     writer.join();
     EXPECT_TRUE(writer_acquired.load());
 }
 
+TEST(SerialLock, ReaderInOtherDomainDoesNotBlockWriter)
+{
+    TxDomain a(8);
+    TxDomain b(8);
+    readLock(a);
+    std::atomic<bool> b_acquired{false};
+    std::thread writer([&] {
+        b.serialLock.writeLock();
+        b_acquired = true;
+        b.serialLock.writeUnlock();
+    });
+    writer.join();
+    EXPECT_TRUE(b_acquired.load());
+    readUnlock();
+}
+
+TEST(SerialLock, ExitedThreadLeavesNoRegistration)
+{
+    TxDomain dom(8);
+    std::size_t first = 0;
+    std::thread([&] {
+        first = tmemc::thread_slot::index();
+        readLock(dom);
+        readUnlock();
+    }).join();
+    // The next thread takes over the same slot, and with it the
+    // descriptor; it runs nothing in dom.
+    std::atomic<std::size_t> second{~std::size_t{0}};
+    std::atomic<bool> release{false};
+    std::thread reuser([&] {
+        second = tmemc::thread_slot::index();
+        while (!release.load())
+            std::this_thread::yield();
+    });
+    while (second.load() == ~std::size_t{0})
+        std::this_thread::yield();
+    EXPECT_EQ(second.load(), first);
+    dom.serialLock.writeLock();  // Would hang on a leftover registration.
+    dom.serialLock.writeUnlock();
+    release = true;
+    reuser.join();
+}
+
 TEST(SerialLock, UpgradeSucceedsWhenSoleReader)
 {
-    SerialLock lock;
-    lock.readLock();
-    ASSERT_TRUE(lock.tryUpgrade());
-    EXPECT_TRUE(lock.writeHeld());
-    lock.writeUnlock();
+    TxDomain dom(8);
+    readLock(dom);
+    ASSERT_TRUE(dom.serialLock.tryUpgrade(tmemc::tm::myDesc()));
+    EXPECT_TRUE(dom.serialLock.writeHeld());
+    dom.serialLock.writeUnlock();
+    readUnlock();
+}
+
+TEST(SerialLock, UpgradeWaitsForOtherReaders)
+{
+    TxDomain dom(8);
+    readLock(dom);
+    std::atomic<bool> other_in{false};
+    std::atomic<bool> other_out{false};
+    std::thread other([&] {
+        readLock(dom);
+        other_in = true;
+        pause();
+        other_out = true;
+        readUnlock();
+    });
+    while (!other_in.load())
+        std::this_thread::yield();
+    ASSERT_TRUE(dom.serialLock.tryUpgrade(tmemc::tm::myDesc()));
+    EXPECT_TRUE(other_out.load());
+    dom.serialLock.writeUnlock();
+    readUnlock();
+    other.join();
 }
 
 TEST(SerialLock, UpgradeFailsWhenWriterPending)
 {
-    SerialLock lock;
-    lock.readLock();
-    std::thread writer([&] { lock.writeLock(); });
+    TxDomain dom(8);
+    readLock(dom);
+    std::thread writer([&] { dom.serialLock.writeLock(); });
     // Wait until the writer has claimed the writer flag.
-    while (!lock.writeHeld())
+    while (!dom.serialLock.writeHeld())
         std::this_thread::yield();
-    EXPECT_FALSE(lock.tryUpgrade());
-    lock.readUnlock();
+    EXPECT_FALSE(dom.serialLock.tryUpgrade(tmemc::tm::myDesc()));
+    readUnlock();
     writer.join();
-    lock.writeUnlock();
+    dom.serialLock.writeUnlock();
 }
 
 TEST(SerialLock, ConcurrentCountersUnderReadLock)
 {
-    SerialLock lock;
+    TxDomain dom(8);
     constexpr int threads = 4;
     constexpr int per = 20000;
     std::atomic<int> shared{0};
@@ -100,13 +199,13 @@ TEST(SerialLock, ConcurrentCountersUnderReadLock)
         workers.emplace_back([&] {
             for (int i = 0; i < per; ++i) {
                 if (i % 1000 == 0) {
-                    lock.writeLock();
+                    dom.serialLock.writeLock();
                     ++exclusively_counted;  // Safe: exclusive.
-                    lock.writeUnlock();
+                    dom.serialLock.writeUnlock();
                 } else {
-                    lock.readLock();
+                    readLock(dom);
                     shared.fetch_add(1);
-                    lock.readUnlock();
+                    readUnlock();
                 }
             }
         });
