@@ -380,7 +380,7 @@ struct TmCtx
             tm::unsafeOp(tx, "memcmp");
             return tmsafe::naive_memcmp(shared, priv, n);
         } else {
-            return tmsafe::tm_memcmp_private(tx, shared, priv, n);
+            return tmsafe::tm_memcmp(tx, shared, priv, n);
         }
     }
 

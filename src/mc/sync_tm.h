@@ -59,14 +59,17 @@ class SiteAttrRegistry
     const tm::TxnAttr &
     get(const SiteInfo &site)
     {
-        for (std::size_t i = home(site);; i = (i + 1) % kSlots) {
+        std::size_t i = home(site);
+        for (std::size_t probes = 0; probes < kSlots;
+             ++probes, i = (i + 1) % kSlots) {
             const SiteInfo *key =
                 slots_[i].site.load(std::memory_order_acquire);
             if (key == &site)
                 return slots_[i].attr;
             if (key == nullptr)
-                return insert(site);
+                break;
         }
+        return insert(site);
     }
 
   private:

@@ -7,12 +7,6 @@
  * back as words "necessitated an expensive logging mechanism" — this is
  * that mechanism: a vector of entries plus an open-addressing index so
  * read-after-write lookups are O(1) rather than a scan.
- *
- * Index slots are stamped with the generation that filled them, and a
- * slot of an older generation reads as empty. So clear() costs O(1)
- * however large one big transaction grew the index: every
- * transaction clears the log twice, and zeroing the index each time
- * cost more than most transaction bodies.
  */
 
 #ifndef TMEMC_TM_REDO_LOG_H
@@ -46,16 +40,14 @@ class RedoLog
     insert(std::uintptr_t word_addr, std::uint64_t val, std::uint64_t mask)
     {
         std::size_t slot = findSlot(word_addr);
-        if (live(index_[slot])) {
+        if (index_[slot].addr == word_addr) {
             RedoEntry &e = entries_[index_[slot].pos];
             e.value = maskMerge(e.value, val, mask);
             e.mask |= mask;
             return;
         }
         entries_.push_back({word_addr, val & mask, mask});
-        index_[slot] = {word_addr,
-                        static_cast<std::uint32_t>(entries_.size() - 1),
-                        gen_};
+        index_[slot] = {word_addr, entries_.size() - 1};
         if (++population_ * 2 > index_.size())
             rebuildIndex(index_.size() * 2);
     }
@@ -73,7 +65,7 @@ class RedoLog
         if (entries_.empty())
             return false;
         const std::size_t slot = findSlot(word_addr);
-        if (!live(index_[slot]))
+        if (index_[slot].addr != word_addr)
             return false;
         const RedoEntry &e = entries_[index_[slot].pos];
         val = e.value;
@@ -87,40 +79,38 @@ class RedoLog
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }
 
-    /** Discard all buffered writes (abort or commit completion):
-     *  O(1), by moving to the next index generation. */
+    /**
+     * Discard all buffered writes (abort or commit completion). Every
+     * transaction clears twice, so this empties only the index slots
+     * the entries hold rather than the whole index, however large one
+     * big transaction grew it. Newest first: an entry's probe path
+     * runs only through slots of entries inserted before it (rebuilds
+     * reinsert in entry order), so each path is intact when cleared.
+     */
     void
     clear()
     {
         if (entries_.empty())
             return;
+        for (auto e = entries_.rbegin(); e != entries_.rend(); ++e)
+            index_[findSlot(e->wordAddr)] = {0, 0};
         entries_.clear();
         population_ = 0;
-        if (++gen_ == 0) {
-            // Wrapped: no stamp may alias the new generation.
-            for (Slot &s : index_)
-                s.gen = 0;
-            gen_ = 1;
-        }
     }
 
   private:
     struct Slot
     {
-        std::uintptr_t addr = 0;
-        std::uint32_t pos = 0;
-        std::uint32_t gen = 0;  //!< Filled in generation gen; else empty.
+        std::uintptr_t addr = 0;  //!< 0 means empty (address 0 unused).
+        std::size_t pos = 0;
     };
 
-    bool live(const Slot &s) const { return s.gen == gen_; }
-
-    /** The slot holding @p addr, or the empty slot where it would go. */
     std::size_t
     findSlot(std::uintptr_t addr) const
     {
         std::size_t h = (addr >> 3) * 0x9e3779b97f4a7c15ull;
         std::size_t slot = h & (index_.size() - 1);
-        while (live(index_[slot]) && index_[slot].addr != addr)
+        while (index_[slot].addr != 0 && index_[slot].addr != addr)
             slot = (slot + 1) & (index_.size() - 1);
         return slot;
     }
@@ -131,16 +121,13 @@ class RedoLog
         index_.assign(new_size, Slot{});
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             const std::size_t slot = findSlot(entries_[i].wordAddr);
-            index_[slot] = {entries_[i].wordAddr,
-                            static_cast<std::uint32_t>(i), gen_};
+            index_[slot] = {entries_[i].wordAddr, i};
         }
     }
 
     std::vector<RedoEntry> entries_;
     std::vector<Slot> index_;
     std::size_t population_ = 0;
-    /** Current generation; starts above the 0 a fresh slot carries. */
-    std::uint32_t gen_ = 1;
 };
 
 } // namespace tmemc::tm

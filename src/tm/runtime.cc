@@ -253,8 +253,27 @@ using obs::probe::Event;
  * request; a 1-in-64 sample still fills the histogram's quantiles.
  * Serial attempts are always stamped (they are rare), and the probe
  * stream keeps its own stamps.
+ *
+ * The sample is one transaction at a random position in each block of
+ * 64, not every 64th: a request runs a fixed sequence of transactions,
+ * and a fixed stride sharing a factor with its length (6 on a GET)
+ * would only ever sample some positions of that sequence.
  */
 constexpr std::uint32_t kTxSampleEvery = 64;
+
+/** The position sampled in the descriptor's next block (xorshift32,
+ *  scaled by its high bits). */
+std::uint32_t
+nextSamplePos(TxDesc &d)
+{
+    std::uint32_t x = d.obsTxRng;
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    d.obsTxRng = x;
+    return static_cast<std::uint32_t>((std::uint64_t{x} * kTxSampleEvery) >>
+                                      32);
+}
 
 /**
  * The one call each lifecycle point makes: bump this thread's stats
@@ -350,8 +369,10 @@ setupTop(Runtime &rt, TxDesc &d, const TxnAttr &attr)
     d.roFast = false;
     d.roPromote = false;
     d.consecAborts = 0;
-    d.obsStartNs =
-        ++d.obsTxSeq % kTxSampleEvery == 0 ? obs::nowNanos() : 0;
+    const std::uint32_t pos = d.obsTxSeq++ % kTxSampleEvery;
+    if (pos == 0)
+        d.obsTxPick = nextSamplePos(d);
+    d.obsStartNs = pos == d.obsTxPick ? obs::nowNanos() : 0;
     d.obsSerialStartNs = 0;
     d.obsAttempts = 0;
     d.onCommitHandlers.clear();

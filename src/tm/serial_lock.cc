@@ -26,17 +26,4 @@ SerialLock::writeLock()
                                  wait);
 }
 
-bool
-SerialLock::tryUpgrade(const TxDesc &self)
-{
-    std::uint32_t expected = 0;
-    if (!writer_.compare_exchange_strong(expected, 1,
-                                         std::memory_order_acquire))
-        return false;
-    obs::probe::WaitStamp wait("serial_lock");
-    Runtime::get().waitForStarts(&domain_, Runtime::kEveryStart, &self,
-                                 wait);
-    return true;
-}
-
 } // namespace tmemc::tm

@@ -57,9 +57,10 @@ namespace tmemc::tm
 class TxDomain;
 
 /**
- * Readers/writer lock whose readers register in their own descriptors,
- * with a one-shot upgrade path for in-flight serialization. A claimed
- * writer turns new readers away while it waits out the old ones.
+ * Readers/writer lock whose readers register in their own descriptors.
+ * A claimed writer turns new readers away while it waits out the old
+ * ones. An attempt that must go serial in flight aborts and restarts
+ * through writeLock().
  */
 class SerialLock
 {
@@ -104,15 +105,6 @@ class SerialLock
     {
         writer_.store(0, std::memory_order_release);
     }
-
-    /**
-     * Try to upgrade reader @p self to the writer. Fails if another
-     * writer (or upgrader) already claimed the lock; the caller must
-     * then abort and restart in serial mode. On success the caller
-     * holds write mode, every other reader has left, and its own start
-     * no longer counts as a read registration.
-     */
-    bool tryUpgrade(const TxDesc &self);
 
     /** True while some transaction holds write mode. */
     bool

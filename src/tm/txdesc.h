@@ -198,9 +198,13 @@ class alignas(cachelineBytes) TxDesc
     std::uint64_t obsStartNs = 0;
     /** nowNanos() when the attempt entered serial mode (0: never). */
     std::uint64_t obsSerialStartNs = 0;
-    /** Top-level transactions begun on this descriptor: picks the
-     *  ones whose latency is sampled. */
+    /** Top-level transactions begun on this descriptor; each block of
+     *  kTxSampleEvery has one latency sample. */
     std::uint32_t obsTxSeq = 0;
+    /** Position of the current block's sample. */
+    std::uint32_t obsTxPick = 0;
+    /** Sample-position generator state (never 0). */
+    std::uint32_t obsTxRng = 0x9e3779b9;
     /** Attempts (speculative + serial) of the current transaction. */
     std::uint32_t obsAttempts = 0;
 

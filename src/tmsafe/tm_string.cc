@@ -67,29 +67,7 @@ tm_memmove(tm::TxDesc &d, void *dst, const void *src, std::size_t n)
 }
 
 int
-tm_memcmp(tm::TxDesc &d, const void *a, const void *b, std::size_t n)
-{
-    const auto *pa = static_cast<const char *>(a);
-    const auto *pb = static_cast<const char *>(b);
-    char bufa[kChunk];
-    char bufb[kChunk];
-    while (n > 0) {
-        const std::size_t len = n < kChunk ? n : kChunk;
-        tm::txLoadBytes(d, bufa, pa, len);
-        tm::txLoadBytes(d, bufb, pb, len);
-        const int c = std::memcmp(bufa, bufb, len);
-        if (c != 0)
-            return c;
-        pa += len;
-        pb += len;
-        n -= len;
-    }
-    return 0;
-}
-
-int
-tm_memcmp_private(tm::TxDesc &d, const void *shared, const void *priv,
-                  std::size_t n)
+tm_memcmp(tm::TxDesc &d, const void *shared, const void *priv, std::size_t n)
 {
     const auto *ps = static_cast<const char *>(shared);
     const auto *pp = static_cast<const char *>(priv);

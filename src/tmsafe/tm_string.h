@@ -33,9 +33,6 @@ TM_SAFE void *tm_memcpy(tm::TxDesc &d, void *dst, const void *src, std::size_t n
 /** Transaction-safe memmove (overlap-tolerant). @return dst. */
 TM_SAFE void *tm_memmove(tm::TxDesc &d, void *dst, const void *src, std::size_t n);
 
-/** Transaction-safe memcmp. */
-TM_SAFE int tm_memcmp(tm::TxDesc &d, const void *a, const void *b, std::size_t n);
-
 /**
  * Transaction-safe memcmp of shared bytes against the caller's private
  * buffer (a lookup key): only @p shared is read transactionally.
@@ -43,8 +40,8 @@ TM_SAFE int tm_memcmp(tm::TxDesc &d, const void *a, const void *b, std::size_t n
  * key that way would read the bytes around it, past the end of a
  * string literal for one; the private side needs no instrumentation.
  */
-TM_SAFE int tm_memcmp_private(tm::TxDesc &d, const void *shared,
-                              const void *priv, std::size_t n);
+TM_SAFE int tm_memcmp(tm::TxDesc &d, const void *shared, const void *priv,
+                      std::size_t n);
 
 /** Transaction-safe memset. @return dst. */
 TM_SAFE void *tm_memset(tm::TxDesc &d, void *dst, int c, std::size_t n);

@@ -252,9 +252,11 @@ TEST_F(MetricsTest, TxHistogramRecordsCommits)
                 0.05);
     EXPECT_EQ(snap.hists[unsigned(HistKind::TxSerial)].count, 0u);
 
-    // Tx latency is sampled: one top-level transaction in 64 per
-    // thread, so any k*64 consecutive commits on one thread give
-    // exactly k samples.
+    // Tx latency is sampled: one top-level transaction at a random
+    // position in each block of 64 per thread, so k*64 commits from a
+    // block boundary give exactly k samples.
+    while (tm::myDesc().obsTxSeq % 64 != 0)
+        commitOneTxn(kHistAttr);
     MetricsRegistry::get().resetHistograms();
     constexpr unsigned kSamples = 3;
     for (unsigned i = 0; i < kSamples * 64; ++i)
@@ -264,6 +266,22 @@ TEST_F(MetricsTest, TxHistogramRecordsCommits)
                   .hists[unsigned(HistKind::Tx)]
                   .count,
               kSamples);
+}
+
+TEST_F(MetricsTest, TxSamplesCoverEveryPositionOfARepeatedSequence)
+{
+    // A request runs a fixed sequence of transactions (6 on a GET): the
+    // sample must not alias with it and skip some of its positions.
+    constexpr unsigned kSeq = 6;
+    unsigned sampled[kSeq] = {};
+    commitOneTxn(kHistAttr);
+    for (unsigned i = 0; i < 64 * 60; ++i) {
+        tm::run(kHistAttr, [](tm::TxDesc &) {});
+        if (tm::myDesc().obsStartNs != 0)
+            ++sampled[i % kSeq];
+    }
+    for (unsigned pos = 0; pos < kSeq; ++pos)
+        EXPECT_GT(sampled[pos], 0u) << "position " << pos;
 }
 
 using probe::Event;

@@ -103,7 +103,7 @@ TEST(RedoLog, ClearAfterGrowthLeavesNoStaleEntries)
     constexpr int kBig = 4096;
     for (int i = 0; i < kBig; ++i)
         log.insert(kBase + 8ull * i, i, ~0ull);
-    // Many clears of the grown index: every generation starts empty.
+    // Many clears of the grown index: each leaves it empty.
     for (int round = 1; round <= 100; ++round) {
         log.clear();
         ASSERT_TRUE(log.empty());
@@ -115,6 +115,30 @@ TEST(RedoLog, ClearAfterGrowthLeavesNoStaleEntries)
         EXPECT_FALSE(log.lookup(own + 8, v, m));
         EXPECT_FALSE(log.lookup(kBase + 8ull * (kBig - 1), v, m));
         EXPECT_EQ(log.size(), 1u);
+    }
+}
+
+TEST(RedoLog, ClearEmptiesCollidingChains)
+{
+    // Words 512 KiB apart share a home slot in any index of up to 64K
+    // slots, so each insert lands one further down a single probe
+    // chain. A clear that left a chain slot behind would answer for an
+    // old word once new words of the same home refill the chain.
+    RedoLog log;
+    constexpr std::uintptr_t kBase = 0x10000;
+    constexpr std::uintptr_t kStride = std::uintptr_t{8} << 16;
+    constexpr int kWords = 200;
+    for (int i = 0; i < kWords; ++i)
+        log.insert(kBase + kStride * i, i, ~0ull);
+    log.clear();
+    for (int i = kWords; i < 2 * kWords; ++i)
+        log.insert(kBase + kStride * i, 7, ~0ull);
+    std::uint64_t v = 0, m = 0;
+    for (int i = 0; i < kWords; ++i)
+        ASSERT_FALSE(log.lookup(kBase + kStride * i, v, m)) << i;
+    for (int i = kWords; i < 2 * kWords; ++i) {
+        ASSERT_TRUE(log.lookup(kBase + kStride * i, v, m)) << i;
+        EXPECT_EQ(v, 7u);
     }
 }
 

@@ -141,52 +141,6 @@ TEST(SerialLock, ExitedThreadLeavesNoRegistration)
     reuser.join();
 }
 
-TEST(SerialLock, UpgradeSucceedsWhenSoleReader)
-{
-    TxDomain dom(8);
-    readLock(dom);
-    ASSERT_TRUE(dom.serialLock.tryUpgrade(tmemc::tm::myDesc()));
-    EXPECT_TRUE(dom.serialLock.writeHeld());
-    dom.serialLock.writeUnlock();
-    readUnlock();
-}
-
-TEST(SerialLock, UpgradeWaitsForOtherReaders)
-{
-    TxDomain dom(8);
-    readLock(dom);
-    std::atomic<bool> other_in{false};
-    std::atomic<bool> other_out{false};
-    std::thread other([&] {
-        readLock(dom);
-        other_in = true;
-        pause();
-        other_out = true;
-        readUnlock();
-    });
-    while (!other_in.load())
-        std::this_thread::yield();
-    ASSERT_TRUE(dom.serialLock.tryUpgrade(tmemc::tm::myDesc()));
-    EXPECT_TRUE(other_out.load());
-    dom.serialLock.writeUnlock();
-    readUnlock();
-    other.join();
-}
-
-TEST(SerialLock, UpgradeFailsWhenWriterPending)
-{
-    TxDomain dom(8);
-    readLock(dom);
-    std::thread writer([&] { dom.serialLock.writeLock(); });
-    // Wait until the writer has claimed the writer flag.
-    while (!dom.serialLock.writeHeld())
-        std::this_thread::yield();
-    EXPECT_FALSE(dom.serialLock.tryUpgrade(tmemc::tm::myDesc()));
-    readUnlock();
-    writer.join();
-    dom.serialLock.writeUnlock();
-}
-
 TEST(SerialLock, ConcurrentCountersUnderReadLock)
 {
     TxDomain dom(8);

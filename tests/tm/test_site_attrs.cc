@@ -69,4 +69,19 @@ TEST(SiteAttrRegistry, DistinctSitesGetDistinctStableAttrs)
     }
 }
 
+TEST(SiteAttrRegistryDeathTest, OverflowPanics)
+{
+    using Reg = mc::SiteAttrRegistry<mc::kITOnCommit>;
+    static mc::SiteInfo sites[Reg::kSlots + 1];
+    for (mc::SiteInfo &s : sites)
+        s.name = "test:overflow";
+    EXPECT_DEATH(
+        {
+            Reg reg;
+            for (const mc::SiteInfo &s : sites)
+                reg.get(s);
+        },
+        "more than 64 sites");
+}
+
 } // namespace

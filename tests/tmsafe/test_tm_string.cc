@@ -86,15 +86,12 @@ TEST_F(TmStringTest, MemcmpSignMatchesLibc)
             b[i] = static_cast<char>(rng.nextBounded(4));
         }
         const int expect = std::memcmp(a, b, n);
-        for (const bool priv : {false, true}) {
-            const int got = tm::run(attr, [&](tm::TxDesc &tx) {
-                return priv ? tmsafe::tm_memcmp_private(tx, a, b, n)
-                            : tmsafe::tm_memcmp(tx, a, b, n);
-            });
-            EXPECT_EQ(got < 0, expect < 0);
-            EXPECT_EQ(got > 0, expect > 0);
-            EXPECT_EQ(got == 0, expect == 0);
-        }
+        const int got = tm::run(attr, [&](tm::TxDesc &tx) {
+            return tmsafe::tm_memcmp(tx, a, b, n);
+        });
+        EXPECT_EQ(got < 0, expect < 0);
+        EXPECT_EQ(got > 0, expect > 0);
+        EXPECT_EQ(got == 0, expect == 0);
         EXPECT_EQ(tmsafe::naive_memcmp(a, b, n) == 0, expect == 0);
     }
     // A private key may be a short literal: only the shared side is
@@ -102,7 +99,7 @@ TEST_F(TmStringTest, MemcmpSignMatchesLibc)
     std::memcpy(a, "k1", 2);
     EXPECT_EQ(tm::run(attr,
                       [&](tm::TxDesc &tx) {
-                          return tmsafe::tm_memcmp_private(tx, a, "k1", 2);
+                          return tmsafe::tm_memcmp(tx, a, "k1", 2);
                       }),
               0);
 }
