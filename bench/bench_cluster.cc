@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "mc/branch.h"
 #include "mc/cache_iface.h"
 #include "net/server.h"
 #include "tm/api.h"
@@ -118,7 +119,7 @@ main(int argc, char **argv)
     std::vector<std::unique_ptr<mc::CacheIface>> caches;
     std::vector<std::unique_ptr<net::Server>> servers;
     if (endpoints.empty()) {
-        tm::Runtime::get().configure(tm::RuntimeCfg{});
+        tm::Runtime::get().configure(mc::runtimeCfgFor(branch));
         for (int n = 0; n < 3; ++n) {
             mc::Settings settings;
             settings.maxBytes = 64 * 1024 * 1024;

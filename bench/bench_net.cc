@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "figure_harness.h"
+#include "mc/branch.h"
 #include "mc/cache_iface.h"
 #include "net/server.h"
 #include "obs/hist.h"
@@ -242,7 +243,7 @@ main(int argc, char **argv)
         bool row_ok = true;
         for (std::uint32_t trial = 0; trial < trials; ++trial) {
             // ----- In-process --------------------------------------------
-            tm::Runtime::get().configure(tm::RuntimeCfg{});
+            tm::Runtime::get().configure(mc::runtimeCfgFor(branch));
             mc::Settings settings;
             settings.maxBytes = 64 * 1024 * 1024;
             auto cache =
@@ -278,7 +279,7 @@ main(int argc, char **argv)
             // before reconfiguring the runtime, which refuses while
             // any transaction is in flight.
             cache.reset();
-            tm::Runtime::get().configure(tm::RuntimeCfg{});
+            tm::Runtime::get().configure(mc::runtimeCfgFor(branch));
             tm::Runtime::get().resetStats();
             obs::MetricsRegistry::get().resetHistograms();
             cache = mc::makeShardedCache(branch, settings, n, shards);

@@ -7,7 +7,6 @@
 #define TMEMC_COMMON_TIMER_H
 
 #include <chrono>
-#include <cstdint>
 
 namespace tmemc
 {
@@ -26,15 +25,6 @@ class WallTimer
     elapsedSeconds() const
     {
         return std::chrono::duration<double>(Clock::now() - start_).count();
-    }
-
-    /** Elapsed nanoseconds since construction or the last reset(). */
-    std::uint64_t
-    elapsedNanos() const
-    {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   Clock::now() - start_)
-            .count();
     }
 
   private:

@@ -8,11 +8,11 @@
  * cas) for the opcodes the study needs: GET/GETK, SET/ADD/REPLACE,
  * DELETE, INCREMENT/DECREMENT, NOOP, VERSION, STAT, FLUSH.
  *
- * Multi-byte fields are network byte order; the 16-bit conversions go
- * through tmsafe::tm_htons's uninstrumented twin (htons was one of the
- * unsafe calls the paper had to handle, Section 3.4 — here it appears
- * on the private request buffer, before any transaction, exactly as in
- * memcached's conn parsing).
+ * Multi-byte fields are network byte order, assembled byte by byte on
+ * the private request buffer before any transaction runs, as in
+ * memcached's conn parsing. (htons is one of the library calls the
+ * paper had to make transaction-safe, Section 3.4; here no byte-order
+ * conversion runs inside a transaction.)
  */
 
 #ifndef TMEMC_MC_BINARY_PROTOCOL_H

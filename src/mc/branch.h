@@ -81,6 +81,8 @@ struct BranchCfg
      */
     bool raTm = false;
 
+    constexpr bool operator==(const BranchCfg &) const = default;
+
     /** Is a category still unsafe for this branch? */
     constexpr bool
     isUnsafe(UnsafeCat cat) const

@@ -710,14 +710,6 @@ class CacheCore
         });
     }
 
-    bool
-    expansionInFlight()
-    {
-        tm::DomainScope ds(&domain_);
-        PlainCtx<cfg> c;
-        return c.volatileLoad(&assoc_.expanding) != 0;
-    }
-
     const Settings &settings() const { return cfg_; }
 
     /** Ask the rebalancer to move a page toward @p dst_cls (tests). */

@@ -35,7 +35,6 @@
 #include "mc/branch.h"
 #include "tm/api.h"
 #include "tm/strict.h"
-#include "tmsafe/tm_alloc.h"
 #include "tmsafe/tm_convert.h"
 #include "tmsafe/tm_format.h"
 #include "tmsafe/tm_string.h"

@@ -64,13 +64,6 @@ class ProfiledMutex
         return contended_.load(std::memory_order_relaxed);
     }
 
-    void
-    resetCounters()
-    {
-        acquisitions_.store(0, std::memory_order_relaxed);
-        contended_.store(0, std::memory_order_relaxed);
-    }
-
   private:
     const char *name_;
     std::mutex mu_;

@@ -11,14 +11,22 @@
  * (Start Serial); one with conditional unsafe paths must be relaxed
  * and switches in flight when a path is hit; one with neither can be
  * marked atomic.
+ *
+ * Like the compiler, a SiteInfo fixes those attributes when it is
+ * built: its constructor derives one tm::TxnAttr for every TM branch
+ * configuration, so a critical section finds its attributes by an
+ * array index and never at run time.
  */
 
 #ifndef TMEMC_MC_SITE_H
 #define TMEMC_MC_SITE_H
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 #include "mc/branch.h"
+#include "tm/attr.h"
 
 namespace tmemc::mc
 {
@@ -38,20 +46,6 @@ constexpr UnsafeMask kVolatile = maskOf(UnsafeCat::Volatile);
 constexpr UnsafeMask kLib = maskOf(UnsafeCat::Lib);
 constexpr UnsafeMask kIo = maskOf(UnsafeCat::Io);
 
-/** Static description of one critical-section site. */
-struct SiteInfo
-{
-    const char *name;
-    /** Categories on every path (earliest-op position). */
-    UnsafeMask alwaysUnsafe;
-    /** Categories on some path only. */
-    UnsafeMask maybeUnsafe;
-    /** No path through this section writes shared state: the runtime
-     *  may start it on the invisible-reader fast path. Advisory — a
-     *  store would still promote to the full path at run time. */
-    bool readOnly = false;
-};
-
 /** True if any category in @p mask is still unsafe for @p cfg. */
 constexpr bool
 anyUnsafe(const BranchCfg &cfg, UnsafeMask mask)
@@ -63,6 +57,64 @@ anyUnsafe(const BranchCfg &cfg, UnsafeMask mask)
     }
     return false;
 }
+
+/** Every TM branch configuration, in SiteInfo::attrs order. */
+inline constexpr BranchCfg kTmBranches[] = {
+    kIP,     kIT,     kIPCallable, kITCallable, kIPMax,   kITMax,
+    kIPLib,  kITLib,  kIPOnCommit, kITOnCommit, kITFused, kITRA,
+    kIPLibBare};
+
+inline constexpr std::size_t kTmBranchCount = std::size(kTmBranches);
+
+/** Position of @p cfg in kTmBranches; kTmBranchCount if absent. */
+constexpr std::size_t
+tmBranchIndex(const BranchCfg &cfg)
+{
+    std::size_t i = 0;
+    while (i < kTmBranchCount && !(kTmBranches[i] == cfg))
+        ++i;
+    return i;
+}
+
+/**
+ * Static description of one critical-section site. Sites have static
+ * storage duration, so the address of each of their attributes is
+ * stable: the TM runtime keys its per-site statistics on it.
+ */
+struct SiteInfo
+{
+    constexpr SiteInfo(const char *site_name, UnsafeMask always_unsafe,
+                       UnsafeMask maybe_unsafe, bool read_only = false)
+        : name(site_name), alwaysUnsafe(always_unsafe),
+          maybeUnsafe(maybe_unsafe), readOnly(read_only)
+    {
+        for (std::size_t i = 0; i < kTmBranchCount; ++i) {
+            const bool always = anyUnsafe(kTmBranches[i], alwaysUnsafe);
+            const bool maybe = anyUnsafe(kTmBranches[i], maybeUnsafe);
+            tm::TxnAttr &a = attrs[i];
+            a.name = name;
+            a.kind = (always || maybe) ? tm::TxnKind::Relaxed
+                                       : tm::TxnKind::Atomic;
+            a.startsSerial = always;
+            // A section every path of which is read-only is eligible
+            // for the invisible-reader fast path — unless it must
+            // start serial, in which case it never runs speculatively.
+            a.readOnlyHint = readOnly && !always;
+        }
+    }
+
+    const char *name;
+    /** Categories on every path (earliest-op position). */
+    UnsafeMask alwaysUnsafe;
+    /** Categories on some path only. */
+    UnsafeMask maybeUnsafe;
+    /** No path through this section writes shared state: the runtime
+     *  may start it on the invisible-reader fast path. Advisory — a
+     *  store would still promote to the full path at run time. */
+    bool readOnly;
+    /** This site's transaction attributes under kTmBranches[i]. */
+    tm::TxnAttr attrs[kTmBranchCount];
+};
 
 } // namespace tmemc::mc
 

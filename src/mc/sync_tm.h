@@ -6,7 +6,9 @@
  * Critical sections become transactions whose static attributes
  * (atomic vs relaxed, start-serial) are derived from the site's
  * unsafe-operation masks and the branch stage — the static analysis
- * the Draft C++ TM Specification's compiler performs.
+ * the Draft C++ TM Specification's compiler performs. Each SiteInfo
+ * derives them when it is built (mc/site.h); the policy picks its
+ * branch's column.
  *
  * Item locks follow the branch's ItemStrategy:
  *  - TmBool (IP): a transactional boolean per lock stripe, acquired by
@@ -23,13 +25,12 @@
 #ifndef TMEMC_MC_SYNC_TM_H
 #define TMEMC_MC_SYNC_TM_H
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/backoff.h"
-#include "common/logging.h"
 #include "common/padded.h"
 #include "common/sem.h"
 #include "mc/ctx.h"
@@ -39,88 +40,6 @@
 
 namespace tmemc::mc
 {
-
-/**
- * Per-policy cache of TxnAttr instances, one per critical-section
- * site. Every section looks its site up, so a lookup takes no lock and
- * writes nothing: it probes a fixed open-addressing table whose keys
- * are published with release once their attribute is filled. Only a
- * site's first lookup takes the insert mutex. Slots are never freed or
- * moved, so an attribute's address is stable (the TM runtime keys its
- * per-site profile on it).
- */
-template <BranchCfg C>
-class SiteAttrRegistry
-{
-  public:
-    /** Sites one branch configuration can hold; overflow panics. */
-    static constexpr std::size_t kSlots = 64;
-
-    const tm::TxnAttr &
-    get(const SiteInfo &site)
-    {
-        std::size_t i = home(site);
-        for (std::size_t probes = 0; probes < kSlots;
-             ++probes, i = (i + 1) % kSlots) {
-            const SiteInfo *key =
-                slots_[i].site.load(std::memory_order_acquire);
-            if (key == &site)
-                return slots_[i].attr;
-            if (key == nullptr)
-                break;
-        }
-        return insert(site);
-    }
-
-  private:
-    struct Slot
-    {
-        // atom-protocol: release-acquire-pair
-        std::atomic<const SiteInfo *> site{nullptr};
-        tm::TxnAttr attr;
-    };
-
-    static std::size_t
-    home(const SiteInfo &site)
-    {
-        return (reinterpret_cast<std::uintptr_t>(&site) >> 4) % kSlots;
-    }
-
-    /** Slots fill in probe order under mu_ and never empty, so the
-     *  re-probe finds a racing insert of the same site. */
-    const tm::TxnAttr &
-    insert(const SiteInfo &site)
-    {
-        std::lock_guard<std::mutex> guard(mu_);
-        std::size_t i = home(site);
-        for (std::size_t probes = 0;; ++probes, i = (i + 1) % kSlots) {
-            if (probes == kSlots)
-                panic("SiteAttrRegistry: more than %zu sites", kSlots);
-            const SiteInfo *key =
-                slots_[i].site.load(std::memory_order_acquire);
-            if (key == &site)
-                return slots_[i].attr;
-            if (key == nullptr)
-                break;
-        }
-        tm::TxnAttr &a = slots_[i].attr;
-        const bool always = anyUnsafe(C, site.alwaysUnsafe);
-        const bool maybe = anyUnsafe(C, site.maybeUnsafe);
-        a.name = site.name;
-        a.kind = (always || maybe) ? tm::TxnKind::Relaxed
-                                   : tm::TxnKind::Atomic;
-        a.startsSerial = always;
-        // A section every path of which is read-only is eligible for
-        // the invisible-reader fast path — unless it must start
-        // serial, in which case it never runs speculatively.
-        a.readOnlyHint = site.readOnly && !always;
-        slots_[i].site.store(&site, std::memory_order_release);
-        return a;
-    }
-
-    Slot slots_[kSlots];
-    std::mutex mu_;
-};
 
 /** Transactional policy for branch configuration C. */
 template <BranchCfg C>
@@ -138,6 +57,17 @@ class TmPolicy
     {
     }
 
+    static constexpr std::size_t kBranchIndex = tmBranchIndex(C);
+    static_assert(kBranchIndex < kTmBranchCount,
+                  "TM branch configuration missing from kTmBranches");
+
+    /** This branch's attributes for @p site (fixed when it was built). */
+    static const tm::TxnAttr &
+    attrOf(const SiteInfo &site)
+    {
+        return site.attrs[kBranchIndex];
+    }
+
     // ------------------------------------------------------------------
     // Lock-domain sections: all plain transactions now
     // ------------------------------------------------------------------
@@ -146,7 +76,7 @@ class TmPolicy
     auto
     cacheSection(const SiteInfo &site, F &&f)
     {
-        return tm::run(attrs().get(site), [&](tm::TxDesc &tx) {
+        return tm::run(attrOf(site), [&](tm::TxDesc &tx) {
             TmCtx<C> c{tx};
             return f(c);
         });
@@ -187,7 +117,7 @@ class TmPolicy
     {
         if constexpr (C.items == ItemStrategy::TxSection) {
             // IT: the critical section is the transaction.
-            return tm::run(attrs().get(site), [&](tm::TxDesc &tx) {
+            return tm::run(attrOf(site), [&](tm::TxDesc &tx) {
                 TmCtx<C> c{tx};
                 return f(c);
             });
@@ -302,8 +232,7 @@ class TmPolicy
         // nothing unsafe in any stage.
         static const SiteInfo site{"mc:item-boollock", kNoUnsafe,
                                    kNoUnsafe};
-        static SiteAttrRegistry<C> reg;
-        return reg.get(site);
+        return attrOf(site);
     }
 
     bool
@@ -331,19 +260,6 @@ class TmPolicy
         return dom == MaintDomain::Hash ? hashSem_ : slabSem_;
     }
 
-    /**
-     * Site attributes for this branch configuration. One static
-     * registry per TmPolicy<C> type — TxnAttr instances must have
-     * static storage duration because the TM runtime keys per-site
-     * statistics on their addresses, and those statistics outlive any
-     * particular cache instance.
-     */
-    static SiteAttrRegistry<C> &
-    attrs()
-    {
-        static SiteAttrRegistry<C> registry;
-        return registry;
-    }
 
     std::uint32_t itemLockMask_;
     std::vector<Padded<std::uint64_t>> itemLocks_;

@@ -148,8 +148,6 @@ class Cluster
     bool nodeHealthy(std::size_t idx) const;
     /** Counter snapshot. */
     ClusterStats stats() const;
-    /** Number of configured nodes. */
-    std::size_t nodeCount() const { return nodes_.size(); }
     ///@}
 
   private:

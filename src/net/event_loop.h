@@ -109,8 +109,6 @@ class EventLoop
      */
     void beginDrain();
 
-    std::uint32_t workerId() const { return worker_; }
-
     /** Requests served across all connections ever owned here. */
     std::uint64_t requestsServed() const
     {

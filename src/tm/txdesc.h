@@ -8,8 +8,10 @@
  * library analogue of libitm's gtm_thread.
  *
  * The descriptor is cache-line aligned so its address can double as an
- * orec lock word (low bit free, see orec.h), and so concurrent
- * publishing of pubStart does not false-share.
+ * orec lock word (low bit free, see orec.h). The only fields other
+ * threads load, domain and pubStart, share a cache line with nothing
+ * else: the owner writes its read-set header on every transactional
+ * read, and a quiesce() scan must not pull that line in.
  */
 
 #ifndef TMEMC_TM_TXDESC_H
@@ -127,6 +129,14 @@ class alignas(cachelineBytes) TxDesc
     // ------------------------------------------------------------------
     // Algorithm state
     // ------------------------------------------------------------------
+    /** Snapshot of the global clock (GccEager / Lazy). */
+    std::uint64_t startTime = 0;
+    /** Snapshot of the NOrec sequence lock. */
+    std::uint64_t norecSnapshot = 0;
+
+    // ------------------------------------------------------------------
+    // Quiescence publication: the line other threads' scans load
+    // ------------------------------------------------------------------
     /**
      * Domain this transaction runs in (set by setupTop before the
      * start time is published; read concurrently by quiesce()). Points
@@ -134,7 +144,7 @@ class alignas(cachelineBytes) TxDesc
      */
     // atom-protocol: relaxed-ok(ordering rides on pubStart: written
     // before its release store, read after its acquire load)
-    std::atomic<TxDomain *> domain{nullptr};
+    alignas(cachelineBytes) std::atomic<TxDomain *> domain{nullptr};
 
     /** The running transaction's domain (algorithm fast path). */
     TxDomain &
@@ -143,10 +153,6 @@ class alignas(cachelineBytes) TxDesc
         return *domain.load(std::memory_order_relaxed);
     }
 
-    /** Snapshot of the global clock (GccEager / Lazy). */
-    std::uint64_t startTime = 0;
-    /** Snapshot of the NOrec sequence lock. */
-    std::uint64_t norecSnapshot = 0;
     /** Published start time for commit-time quiescence; 0 = inactive.
      *  Stored as startTime + 1 so that startTime 0 is representable.
      *  The publish and quiesce()'s scan are also a store-load pair,
@@ -154,7 +160,10 @@ class alignas(cachelineBytes) TxDesc
     // atom-protocol: release-acquire-pair
     std::atomic<std::uint64_t> pubStart{0};
 
-    std::vector<ReadEntry> readSet;
+    // ------------------------------------------------------------------
+    // Logs (the owner writes the read-set header on every read)
+    // ------------------------------------------------------------------
+    alignas(cachelineBytes) std::vector<ReadEntry> readSet;
     std::vector<ValueEntry> valueReads;
     std::vector<UndoEntry> undoLog;
     std::vector<LockEntry> writeLocks;

@@ -11,10 +11,11 @@
  *
  * The paper is explicit that this technique is *not* generally safe
  * (buffered-update STMs, libraries that grow side effects, buffer-size
- * guesses, multi-call atomicity). We reproduce it faithfully, caps and
- * all: kMaxMarshalIn/kMaxMarshalOut are the "generous 4KB/8KB" buffers
+ * guesses, multi-call atomicity). We reproduce it faithfully, cap and
+ * all: kMaxMarshalOut is the "generous ... 8KB for the output" buffer
  * the authors used at the one call site whose bound they could not
- * derive.
+ * derive. The inbound half is each clone's own bounded instrumented
+ * read onto its stack (tm_convert.cc, tm_string.cc).
  */
 
 #ifndef TMEMC_TMSAFE_MARSHAL_H
@@ -28,27 +29,8 @@
 namespace tmemc::tmsafe
 {
 
-/** Cap on marshaled input buffers (paper: "a generous 4KB"). */
-constexpr std::size_t kMaxMarshalIn = 4096;
 /** Cap on marshaled output buffers (paper: "8KB for the output"). */
 constexpr std::size_t kMaxMarshalOut = 8192;
-
-/**
- * Marshal @p n bytes of shared memory at @p shared_src into the
- * private (stack or captured) buffer @p priv_dst with instrumented
- * reads. The writes to @p priv_dst are intentionally uninstrumented —
- * that is the point of the pattern, and why it requires a
- * direct-update or captured-memory-aware STM.
- */
-TM_SAFE inline void
-marshalIn(tm::TxDesc &d, void *priv_dst, const void *shared_src,
-          std::size_t n)
-{
-    if (n > kMaxMarshalIn)
-        panic("marshalIn: %zu bytes exceeds the %zu-byte input buffer cap",
-              n, kMaxMarshalIn);
-    tm::txLoadBytes(d, priv_dst, shared_src, n);
-}
 
 /**
  * Marshal @p n bytes of a private buffer back into shared memory at

@@ -1,15 +1,11 @@
 /**
  * @file
- * Marshaling-based conversion functions.
+ * Marshaling-based strtoull.
  */
 
 #include "tmsafe/tm_convert.h"
 
-#include <cctype>
 #include <cstdlib>
-#include <cstring>
-
-#include "tmsafe/marshal.h"
 
 namespace tmemc::tmsafe
 {
@@ -43,16 +39,10 @@ marshalString(tm::TxDesc &d, char *buf, const char *nptr,
 }
 
 /**
- * The [[transaction_pure]] wrappers around the libc functions
- * (paper Figure 7: "wrap library function foo inside a pure
- * function"). They receive only private parameters.
+ * The [[transaction_pure]] wrapper around the libc function (paper
+ * Figure 7: "wrap library function foo inside a pure function"). It
+ * receives only private parameters.
  */
-long
-pure_strtol(const char *in, char **endp, int base)
-{
-    return std::strtol(in, endp, base);
-}
-
 unsigned long long
 pure_strtoull(const char *in, char **endp, int base)
 {
@@ -60,26 +50,6 @@ pure_strtoull(const char *in, char **endp, int base)
 }
 
 } // namespace
-
-int
-tm_isspace(int c)
-{
-    // transaction_pure: touches no shared memory at all.
-    return std::isspace(static_cast<unsigned char>(c));
-}
-
-long
-tm_strtol(tm::TxDesc &d, const char *nptr, std::size_t max_len,
-          std::size_t *consumed, int base)
-{
-    char buf[kNumBuf];
-    marshalString(d, buf, nptr, max_len);
-    char *end = buf;
-    const long v = pure_strtol(buf, &end, base);
-    if (consumed != nullptr)
-        *consumed = static_cast<std::size_t>(end - buf);
-    return v;
-}
 
 unsigned long long
 tm_strtoull(tm::TxDesc &d, const char *nptr, std::size_t max_len,
@@ -92,12 +62,6 @@ tm_strtoull(tm::TxDesc &d, const char *nptr, std::size_t max_len,
     if (consumed != nullptr)
         *consumed = static_cast<std::size_t>(end - buf);
     return v;
-}
-
-int
-tm_atoi(tm::TxDesc &d, const char *nptr, std::size_t max_len)
-{
-    return static_cast<int>(tm_strtol(d, nptr, max_len, nullptr, 10));
 }
 
 } // namespace tmemc::tmsafe

@@ -1,18 +1,18 @@
 /**
  * @file
- * Transaction-safe numeric/character conversion functions: isspace,
- * strtol, strtoull, and atoi (paper Section 3.4, "Safety via
- * Marshaling").
+ * Transaction-safe numeric conversion: strtoull, the one of the
+ * paper's marshaled conversions (Section 3.4, "Safety via Marshaling")
+ * the cache calls, for incr/decr on a stored value.
  *
- * These follow the paper's recipe exactly: the input string is
+ * It follows the paper's recipe exactly: the input string is
  * marshaled from shared memory onto the stack, a transaction_pure
  * wrapper around the libc function runs on the private copy, and the
  * scalar result is returned with no out-marshaling.
  *
- * Because marshaling needs a bound, callers pass the maximum number of
- * meaningful bytes (max_len); the marshaled copy is NUL-terminated at
- * that bound. memcached call sites always know a bound (key lengths,
- * fixed-width value buffers).
+ * Because marshaling needs a bound, the caller passes the maximum
+ * number of meaningful bytes (max_len); the marshaled copy is
+ * NUL-terminated at that bound. memcached call sites always know a
+ * bound (key lengths, fixed-width value buffers).
  */
 
 #ifndef TMEMC_TMSAFE_TM_CONVERT_H
@@ -25,29 +25,19 @@
 namespace tmemc::tmsafe
 {
 
-/** Transaction-pure isspace (no memory access beyond the argument). */
-TM_PURE int tm_isspace(int c);
-
 /**
- * Transaction-safe strtol via marshaling.
+ * Transaction-safe strtoull via marshaling.
  * @param d        Enclosing transaction.
  * @param nptr     Shared string to parse.
  * @param max_len  Upper bound on the string's meaningful length.
  * @param consumed If non-null, receives the number of bytes parsed
  *                 (the marshaling analogue of libc's endptr, which
  *                 cannot point into the private copy).
- * @param base     Numeric base, as for libc strtol.
+ * @param base     Numeric base, as for libc strtoull.
  */
-TM_SAFE long tm_strtol(tm::TxDesc &d, const char *nptr, std::size_t max_len,
-               std::size_t *consumed, int base);
-
-/** Transaction-safe strtoull via marshaling; see tm_strtol. */
 TM_SAFE unsigned long long tm_strtoull(tm::TxDesc &d, const char *nptr,
                                std::size_t max_len, std::size_t *consumed,
                                int base);
-
-/** Transaction-safe atoi via marshaling. */
-TM_SAFE int tm_atoi(tm::TxDesc &d, const char *nptr, std::size_t max_len);
 
 } // namespace tmemc::tmsafe
 

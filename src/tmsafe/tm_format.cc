@@ -1,13 +1,11 @@
 /**
  * @file
- * snprintf clones and byte-order helpers.
+ * snprintf clones.
  */
 
 #include "tmsafe/tm_format.h"
 
-#include <bit>
 #include <cstdio>
-#include <cstring>
 
 #include "tmsafe/marshal.h"
 
@@ -25,12 +23,6 @@ int
 pure_snprintf_ull(char *out, std::size_t n, unsigned long long v)
 {
     return std::snprintf(out, n, "%llu", v);
-}
-
-int
-pure_snprintf_str(char *out, std::size_t n, const char *s)
-{
-    return std::snprintf(out, n, "%s", s);
 }
 
 int
@@ -69,27 +61,6 @@ tm_snprintf_ull(tm::TxDesc &d, char *dst, std::size_t n,
 }
 
 int
-tm_snprintf_str(tm::TxDesc &d, char *dst, std::size_t n, const char *src,
-                std::size_t src_max)
-{
-    // Marshal the shared source string in, then format privately.
-    char in[kFmtBuf];
-    std::size_t i = 0;
-    const std::size_t lim = src_max < kFmtBuf - 1 ? src_max : kFmtBuf - 1;
-    for (; i < lim; ++i) {
-        in[i] = tm::txLoad(d, src + i);
-        if (in[i] == '\0')
-            break;
-    }
-    in[i] = '\0';
-
-    char buf[kFmtBuf];
-    const int len = pure_snprintf_str(buf, sizeof(buf), in);
-    emit(d, dst, n, buf, len);
-    return len;
-}
-
-int
 tm_snprintf_stat(tm::TxDesc &d, char *dst, std::size_t n, const char *name,
                  unsigned long long v)
 {
@@ -97,21 +68,6 @@ tm_snprintf_stat(tm::TxDesc &d, char *dst, std::size_t n, const char *name,
     const int len = pure_snprintf_stat(buf, sizeof(buf), name, v);
     emit(d, dst, n, buf, len);
     return len;
-}
-
-std::uint16_t
-tm_htons(std::uint16_t host_val)
-{
-    if constexpr (std::endian::native == std::endian::little)
-        return static_cast<std::uint16_t>((host_val << 8) |
-                                          (host_val >> 8));
-    return host_val;
-}
-
-std::uint16_t
-tm_ntohs(std::uint16_t net_val)
-{
-    return tm_htons(net_val);
 }
 
 } // namespace tmemc::tmsafe

@@ -1,13 +1,13 @@
 /**
  * @file
- * Transaction-safe formatting: snprintf clones and htons.
+ * Transaction-safe formatting: snprintf clones.
  *
  * GCC did not support variable arguments in transaction-safe functions,
  * so the paper "manually clone[d] and replace[d] every variable-argument
  * function with a unique version for every combination of parameters
  * that appeared in the program". These are those clones for the
- * signatures memcached needs: rendering an unsigned counter (incr/decr
- * results), a string field, and a key-value stats line.
+ * signatures the cache needs: rendering an unsigned counter (incr/decr
+ * results) and a key-value stats line.
  *
  * Each clone formats into a stack buffer with a pure snprintf wrapper
  * and marshals the result into the shared destination (paper Figure 7:
@@ -19,7 +19,6 @@
 #define TMEMC_TMSAFE_TM_FORMAT_H
 
 #include <cstddef>
-#include <cstdint>
 
 #include "tm/api.h"
 
@@ -35,24 +34,11 @@ TM_SAFE int tm_snprintf_ull(tm::TxDesc &d, char *dst, std::size_t n,
                     unsigned long long v);
 
 /**
- * snprintf clone for "%s" where the argument is a shared string of at
- * most @p src_max meaningful bytes.
- */
-TM_SAFE int tm_snprintf_str(tm::TxDesc &d, char *dst, std::size_t n,
-                    const char *src, std::size_t src_max);
-
-/**
  * snprintf clone for the "STAT <name> <value>\r\n" stats-line shape.
  * @p name must be private memory (a literal); the value is a scalar.
  */
 TM_SAFE int tm_snprintf_stat(tm::TxDesc &d, char *dst, std::size_t n,
                      const char *name, unsigned long long v);
-
-/** Transaction-pure htons (scalar in, scalar out; paper Section 3.4). */
-TM_PURE std::uint16_t tm_htons(std::uint16_t host_val);
-
-/** Transaction-pure ntohs. */
-TM_PURE std::uint16_t tm_ntohs(std::uint16_t net_val);
 
 } // namespace tmemc::tmsafe
 

@@ -85,75 +85,6 @@ tm_memcmp(tm::TxDesc &d, const void *shared, const void *priv, std::size_t n)
     return 0;
 }
 
-void *
-tm_memset(tm::TxDesc &d, void *dst, int c, std::size_t n)
-{
-    char buf[kChunk];
-    std::memset(buf, c, n < kChunk ? n : kChunk);
-    auto *out = static_cast<char *>(dst);
-    while (n > 0) {
-        const std::size_t len = n < kChunk ? n : kChunk;
-        tm::txStoreBytes(d, out, buf, len);
-        out += len;
-        n -= len;
-    }
-    return dst;
-}
-
-std::size_t
-tm_strlen(tm::TxDesc &d, const char *s)
-{
-    std::size_t len = 0;
-    for (;;) {
-        const char c = tm::txLoad(d, s + len);
-        if (c == '\0')
-            return len;
-        ++len;
-    }
-}
-
-int
-tm_strncmp(tm::TxDesc &d, const char *a, const char *b, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const unsigned char ca = tm::txLoad(d, a + i);
-        const unsigned char cb = tm::txLoad(d, b + i);
-        if (ca != cb)
-            return ca < cb ? -1 : 1;
-        if (ca == '\0')
-            return 0;
-    }
-    return 0;
-}
-
-char *
-tm_strncpy(tm::TxDesc &d, char *dst, const char *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i < n; ++i) {
-        const char c = tm::txLoad(d, src + i);
-        tm::txStore(d, dst + i, c);
-        if (c == '\0')
-            break;
-    }
-    for (++i; i < n; ++i)
-        tm::txStore(d, dst + i, '\0');
-    return dst;
-}
-
-const char *
-tm_strchr(tm::TxDesc &d, const char *s, int c)
-{
-    const char target = static_cast<char>(c);
-    for (std::size_t i = 0;; ++i) {
-        const char cur = tm::txLoad(d, s + i);
-        if (cur == target)
-            return s + i;
-        if (cur == '\0')
-            return nullptr;
-    }
-}
-
 // ----------------------------------------------------------------------
 // Non-transactional clones ("same source", no instrumentation, no
 // vector assembly — the slowdown the specification imposes)
@@ -194,61 +125,6 @@ naive_memcmp(const void *a, const void *b, std::size_t n)
             return pa[i] < pb[i] ? -1 : 1;
     }
     return 0;
-}
-
-void *
-naive_memset(void *dst, int c, std::size_t n)
-{
-    auto *out = static_cast<unsigned char *>(dst);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = static_cast<unsigned char>(c);
-    return dst;
-}
-
-std::size_t
-naive_strlen(const char *s)
-{
-    std::size_t len = 0;
-    while (s[len] != '\0')
-        ++len;
-    return len;
-}
-
-int
-naive_strncmp(const char *a, const char *b, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto ca = static_cast<unsigned char>(a[i]);
-        const auto cb = static_cast<unsigned char>(b[i]);
-        if (ca != cb)
-            return ca < cb ? -1 : 1;
-        if (ca == '\0')
-            return 0;
-    }
-    return 0;
-}
-
-char *
-naive_strncpy(char *dst, const char *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i < n && src[i] != '\0'; ++i)
-        dst[i] = src[i];
-    for (; i < n; ++i)
-        dst[i] = '\0';
-    return dst;
-}
-
-const char *
-naive_strchr(const char *s, int c)
-{
-    const char target = static_cast<char>(c);
-    for (std::size_t i = 0;; ++i) {
-        if (s[i] == target)
-            return s + i;
-        if (s[i] == '\0')
-            return nullptr;
-    }
 }
 
 } // namespace tmemc::tmsafe

@@ -1,8 +1,8 @@
 /**
  * @file
- * Transaction-safe reimplementations of the untyped-memory and string
- * functions the paper lists in Section 3.4: memcmp, memcpy (and
- * memmove), strlen, strncmp, strncpy, and strchr.
+ * Transaction-safe reimplementations of the untyped-memory functions
+ * the paper lists in Section 3.4 that the cache calls: memcmp, memcpy
+ * and memmove.
  *
  * Per the Draft C++ TM Specification, the transactional and
  * non-transactional clones of a safe function must come from the same
@@ -43,21 +43,6 @@ TM_SAFE void *tm_memmove(tm::TxDesc &d, void *dst, const void *src, std::size_t 
 TM_SAFE int tm_memcmp(tm::TxDesc &d, const void *shared, const void *priv,
                       std::size_t n);
 
-/** Transaction-safe memset. @return dst. */
-TM_SAFE void *tm_memset(tm::TxDesc &d, void *dst, int c, std::size_t n);
-
-/** Transaction-safe strlen. */
-TM_SAFE std::size_t tm_strlen(tm::TxDesc &d, const char *s);
-
-/** Transaction-safe strncmp. */
-TM_SAFE int tm_strncmp(tm::TxDesc &d, const char *a, const char *b, std::size_t n);
-
-/** Transaction-safe strncpy (pads with NULs like the libc one). */
-TM_SAFE char *tm_strncpy(tm::TxDesc &d, char *dst, const char *src, std::size_t n);
-
-/** Transaction-safe strchr. @return pointer into the shared string. */
-TM_SAFE const char *tm_strchr(tm::TxDesc &d, const char *s, int c);
-
 // ----------------------------------------------------------------------
 // Non-transactional clones generated "from the same source"
 // ----------------------------------------------------------------------
@@ -65,11 +50,6 @@ TM_SAFE const char *tm_strchr(tm::TxDesc &d, const char *s, int c);
 TM_UNSAFE void *naive_memcpy(void *dst, const void *src, std::size_t n);
 TM_UNSAFE void *naive_memmove(void *dst, const void *src, std::size_t n);
 TM_UNSAFE int naive_memcmp(const void *a, const void *b, std::size_t n);
-TM_UNSAFE void *naive_memset(void *dst, int c, std::size_t n);
-TM_UNSAFE std::size_t naive_strlen(const char *s);
-TM_UNSAFE int naive_strncmp(const char *a, const char *b, std::size_t n);
-TM_UNSAFE char *naive_strncpy(char *dst, const char *src, std::size_t n);
-TM_UNSAFE const char *naive_strchr(const char *s, int c);
 
 } // namespace tmemc::tmsafe
 

@@ -1,16 +1,14 @@
 /**
  * @file
- * Tests for the text-protocol layer and the worklist dispatcher.
+ * Tests for the text-protocol layer.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 
 #include "mc/cache_iface.h"
 #include "mc/protocol.h"
-#include "mc/worklist.h"
 #include "tm/api.h"
 
 namespace
@@ -149,48 +147,5 @@ INSTANTIATE_TEST_SUITE_P(SomeBranches, ProtocolTest,
                                      c = '_';
                              return n;
                          });
-
-TEST(Worklist, DispatchesAndReplies)
-{
-    tm::Runtime::get().configure(tm::RuntimeCfg{});
-    Settings s;
-    auto cache = makeCache("IT-onCommit", s, 3);
-    Worklist wl(3, [&](std::uint32_t w, const ConnWork &work) {
-        return protocolExecute(*cache, w, work.request);
-    });
-    std::atomic<int> outstanding{0};
-    std::atomic<int> stored{0};
-    for (int i = 0; i < 200; ++i) {
-        outstanding.fetch_add(1);
-        const std::string key = "wk" + std::to_string(i);
-        wl.submit("set " + key + " 0 0 3\r\nabc\r\n",
-                  [&](std::string reply) {
-                      if (reply == "STORED\r\n")
-                          stored.fetch_add(1);
-                      outstanding.fetch_sub(1);
-                  });
-    }
-    while (outstanding.load() != 0)
-        std::this_thread::yield();
-    EXPECT_EQ(stored.load(), 200);
-    EXPECT_EQ(cache->globalStats().currItems, 200u);
-}
-
-TEST(Worklist, ShutdownJoinsWorkers)
-{
-    std::atomic<int> handled{0};
-    {
-        Worklist wl(2, [&](std::uint32_t, const ConnWork &) {
-            handled.fetch_add(1);
-            return std::string("ok");
-        });
-        std::atomic<int> outstanding{2};
-        wl.submit("x", [&](std::string) { outstanding.fetch_sub(1); });
-        wl.submit("y", [&](std::string) { outstanding.fetch_sub(1); });
-        while (outstanding.load() != 0)
-            std::this_thread::yield();
-    }  // Destructor must join cleanly.
-    EXPECT_EQ(handled.load(), 2);
-}
 
 } // namespace

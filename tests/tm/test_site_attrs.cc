@@ -1,15 +1,19 @@
 /**
  * @file
- * The TM sync policy's per-site attribute registry: lookups take no
- * lock, and racing first lookups of one site agree on one TxnAttr.
+ * Site attributes are fixed when a SiteInfo is built: for every TM
+ * branch, each cache site's TxnAttr must follow from its unsafe masks,
+ * and the policy's lookup must hand out one stable attribute per
+ * (site, branch).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "mc/cache.h"
 #include "mc/sync_tm.h"
 
 namespace
@@ -17,71 +21,101 @@ namespace
 
 using namespace tmemc;
 
-TEST(SiteAttrRegistry, RacingFirstLookupsShareOneAttr)
+/** Categories still unsafe in @p cfg, spelled out from the stage
+ *  flags rather than through anyUnsafe(). */
+mc::UnsafeMask
+unsafeIn(const mc::BranchCfg &cfg)
 {
-    constexpr int kThreads = 8;
-    constexpr int kRounds = 50;
-    for (int round = 0; round < kRounds; ++round) {
-        // A fresh registry and site each round: every round is a
-        // first touch.
-        mc::SiteAttrRegistry<mc::kITOnCommit> reg;
-        const mc::SiteInfo site{"test:racing-site", mc::kNoUnsafe,
-                                mc::kNoUnsafe, true};
-        std::atomic<int> ready{0};
-        std::vector<const tm::TxnAttr *> got(kThreads, nullptr);
-        std::vector<std::thread> threads;
-        for (int t = 0; t < kThreads; ++t) {
-            threads.emplace_back([&, t] {
-                ready.fetch_add(1);
-                while (ready.load() < kThreads)
-                    std::this_thread::yield();
-                got[t] = &reg.get(site);
-            });
+    mc::UnsafeMask m = mc::kNoUnsafe;
+    if (!cfg.safeVolatiles)
+        m |= mc::kRmw | mc::kVolatile;
+    if (!cfg.safeLibs)
+        m |= mc::kLib;
+    if (!cfg.onCommitIo)
+        m |= mc::kIo;
+    return m;
+}
+
+const std::vector<const mc::SiteInfo *> &
+cacheSites()
+{
+    namespace s = mc::sites;
+    static const std::vector<const mc::SiteInfo *> all = {
+        &s::getFind,       &s::getCopy,      &s::release,
+        &s::alloc,         &s::evict,        &s::storeLink,
+        &s::globalStats,   &s::expandTrigger, &s::del,
+        &s::arithFind,     &s::arithApply,   &s::concatFind,
+        &s::concatApply,   &s::touch,        &s::threadStats,
+        &s::statsRender,   &s::slabsFreeNested, &s::expandStart,
+        &s::expandStep,    &s::rebalPlan,    &s::rebalRun,
+        &s::rebalFinish,   &s::getFused};
+    return all;
+}
+
+/** Every site's TmPolicy<C> lookup, twice. */
+template <mc::BranchCfg C>
+void
+collectLookups(std::vector<std::pair<const tm::TxnAttr *,
+                                     const tm::TxnAttr *>> &out)
+{
+    for (const mc::SiteInfo *site : cacheSites())
+        out.emplace_back(&mc::TmPolicy<C>::attrOf(*site),
+                         &mc::TmPolicy<C>::attrOf(*site));
+}
+
+template <std::size_t... I>
+std::vector<std::pair<const tm::TxnAttr *, const tm::TxnAttr *>>
+lookupsForEveryBranch(std::index_sequence<I...>)
+{
+    std::vector<std::pair<const tm::TxnAttr *, const tm::TxnAttr *>> out;
+    (collectLookups<mc::kTmBranches[I]>(out), ...);
+    return out;
+}
+
+TEST(SiteAttrs, DerivedPerBranchFromMasksDistinctAndStable)
+{
+    const auto &sites = cacheSites();
+    for (std::size_t b = 0; b < mc::kTmBranchCount; ++b) {
+        const mc::BranchCfg &cfg = mc::kTmBranches[b];
+        ASSERT_EQ(mc::tmBranchIndex(cfg), b);
+        const mc::UnsafeMask unsafe = unsafeIn(cfg);
+        for (const mc::SiteInfo *site : sites) {
+            const tm::TxnAttr &a = site->attrs[b];
+            const bool always = (site->alwaysUnsafe & unsafe) != 0;
+            const bool maybe = (site->maybeUnsafe & unsafe) != 0;
+            SCOPED_TRACE(std::string(mc::branchName(cfg)) + " " +
+                         site->name);
+            EXPECT_STREQ(a.name, site->name);
+            EXPECT_EQ(a.kind, always || maybe ? tm::TxnKind::Relaxed
+                                              : tm::TxnKind::Atomic);
+            EXPECT_EQ(a.startsSerial, always);
+            EXPECT_EQ(a.readOnlyHint, site->readOnly && !always);
         }
-        for (auto &th : threads)
-            th.join();
-        for (int t = 0; t < kThreads; ++t)
-            ASSERT_EQ(got[t], got[0]) << "round " << round;
-        EXPECT_STREQ(got[0]->name, "test:racing-site");
-        EXPECT_EQ(got[0]->kind, tm::TxnKind::Atomic);
-        EXPECT_FALSE(got[0]->startsSerial);
-        EXPECT_TRUE(got[0]->readOnlyHint);
     }
-}
 
-TEST(SiteAttrRegistry, DistinctSitesGetDistinctStableAttrs)
-{
-    mc::SiteAttrRegistry<mc::kITOnCommit> reg;
-    static const mc::SiteInfo sites[] = {
-        {"test:a", mc::kNoUnsafe, mc::kNoUnsafe},
-        {"test:b", mc::kNoUnsafe, mc::kNoUnsafe},
-        {"test:c", mc::kNoUnsafe, mc::kNoUnsafe},
-    };
-    std::vector<const tm::TxnAttr *> first;
-    for (const mc::SiteInfo &s : sites)
-        first.push_back(&reg.get(s));
-    EXPECT_NE(first[0], first[1]);
-    EXPECT_NE(first[1], first[2]);
-    for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(&reg.get(sites[i]), first[i]);
-        EXPECT_STREQ(first[i]->name, sites[i].name);
-        EXPECT_EQ(first[i]->kind, tm::TxnKind::Atomic);
+    // The paper's endpoints: at stage 3 get-copy's libc memcpy makes
+    // it start serial; from onCommit on no site is relaxed at all.
+    EXPECT_TRUE(mc::sites::getCopy.attrs[mc::tmBranchIndex(mc::kIP)]
+                    .startsSerial);
+    for (const mc::SiteInfo *site : sites)
+        EXPECT_EQ(site->attrs[mc::tmBranchIndex(mc::kITOnCommit)].kind,
+                  tm::TxnKind::Atomic)
+            << site->name;
+
+    // Each policy's lookup returns its own column, the same object
+    // every time, and no two (site, branch) pairs share an attribute.
+    const auto lookups = lookupsForEveryBranch(
+        std::make_index_sequence<mc::kTmBranchCount>{});
+    ASSERT_EQ(lookups.size(), mc::kTmBranchCount * sites.size());
+    std::set<const tm::TxnAttr *> distinct;
+    for (std::size_t i = 0; i < lookups.size(); ++i) {
+        const std::size_t b = i / sites.size();
+        const mc::SiteInfo *site = sites[i % sites.size()];
+        EXPECT_EQ(lookups[i].first, &site->attrs[b]);
+        EXPECT_EQ(lookups[i].second, lookups[i].first);
+        distinct.insert(lookups[i].first);
     }
-}
-
-TEST(SiteAttrRegistryDeathTest, OverflowPanics)
-{
-    using Reg = mc::SiteAttrRegistry<mc::kITOnCommit>;
-    static mc::SiteInfo sites[Reg::kSlots + 1];
-    for (mc::SiteInfo &s : sites)
-        s.name = "test:overflow";
-    EXPECT_DEATH(
-        {
-            Reg reg;
-            for (const mc::SiteInfo &s : sites)
-                reg.get(s);
-        },
-        "more than 64 sites");
+    EXPECT_EQ(distinct.size(), lookups.size());
 }
 
 } // namespace

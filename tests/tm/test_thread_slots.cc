@@ -4,17 +4,23 @@
  * counts stay in its slot until resetStats(), a thread that reuses a
  * slot after a reset counts from zero, and writers keep committing
  * and quiescing while threads claim and release slots around them.
+ * Also the descriptor layout the quiescence scan relies on.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_slot.h"
+#include "common/compiler.h"
 #include "tm/api.h"
+#include "tm/txdesc.h"
 #include "tm_test_util.h"
 
 namespace
@@ -156,6 +162,53 @@ TEST_F(ThreadSlotTest, ChurnWhileWritersCommitAndQuiesce)
     // than the threads alive at once (this one, two writers, a batch).
     EXPECT_LE(thread_slot::highWater(),
               std::max<std::size_t>(mark0, 1 + 2 + kBatchThreads));
+}
+
+/** First and last cache line that @p n bytes at @p p cover. */
+std::pair<std::uintptr_t, std::uintptr_t>
+linesOf(const void *p, std::size_t n)
+{
+    const auto a = reinterpret_cast<std::uintptr_t>(p);
+    return {a / cachelineBytes, (a + n - 1) / cachelineBytes};
+}
+
+TEST(TxDescLayout, QuiescenceFieldsShareTheirLineWithNothingElse)
+{
+    // A quiesce() scan loads every other descriptor's domain and
+    // pubStart; the owner writes most other fields on every access.
+    auto d = std::make_unique<tm::TxDesc>();
+    const auto dom = linesOf(&d->domain, sizeof(d->domain));
+    const auto pub = linesOf(&d->pubStart, sizeof(d->pubStart));
+    ASSERT_EQ(pub.first, pub.second);
+    ASSERT_EQ(dom, pub);
+    const std::uintptr_t line = pub.first;
+
+#define TXDESC_FIELD(f) {#f, linesOf(&d->f, sizeof(d->f))}
+    const std::pair<const char *, std::pair<std::uintptr_t, std::uintptr_t>>
+        others[] = {
+            TXDESC_FIELD(threadId),      TXDESC_FIELD(state),
+            TXDESC_FIELD(attr),          TXDESC_FIELD(kind),
+            TXDESC_FIELD(nesting),       TXDESC_FIELD(serialCause),
+            TXDESC_FIELD(pendingSerialRestart),
+            TXDESC_FIELD(abortIsSwitch), TXDESC_FIELD(roFast),
+            TXDESC_FIELD(roPromote),     TXDESC_FIELD(consecAborts),
+            TXDESC_FIELD(startTime),     TXDESC_FIELD(norecSnapshot),
+            TXDESC_FIELD(readSet),       TXDESC_FIELD(valueReads),
+            TXDESC_FIELD(undoLog),       TXDESC_FIELD(writeLocks),
+            TXDESC_FIELD(redoLog),       TXDESC_FIELD(onCommitHandlers),
+            TXDESC_FIELD(onAbortHandlers), TXDESC_FIELD(commitFrees),
+            TXDESC_FIELD(abortFrees),    TXDESC_FIELD(cmBackoff),
+            TXDESC_FIELD(stats),         TXDESC_FIELD(opRecording),
+            TXDESC_FIELD(opEpoch),       TXDESC_FIELD(opBegin),
+            TXDESC_FIELD(opAccesses),    TXDESC_FIELD(obsStartNs),
+            TXDESC_FIELD(obsSerialStartNs), TXDESC_FIELD(obsTxSeq),
+            TXDESC_FIELD(obsTxPick),     TXDESC_FIELD(obsTxRng),
+            TXDESC_FIELD(obsAttempts),
+        };
+#undef TXDESC_FIELD
+    for (const auto &[name, lines] : others)
+        EXPECT_TRUE(lines.second < line || lines.first > line)
+            << name << " shares the domain/pubStart cache line";
 }
 
 } // namespace

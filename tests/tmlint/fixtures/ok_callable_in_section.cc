@@ -2,7 +2,7 @@
  * @file
  * tmlint fixture (negative): TM_CALLABLE callees invoked from a
  * branch-policy section body. Section kind is a runtime property
- * (SiteAttrRegistry decides atomic vs relaxed per branch config), so
+ * (the site's TxnAttr for the branch config says atomic or relaxed), so
  * tmlint treats the body conservatively but admits callable callees —
  * exactly how cache.h drives slabsAlloc/assocInsert.
  */

@@ -18,7 +18,7 @@ void *slot;
 
 // tmlint-expect: none
 
-// The attr arrives at runtime (a SiteAttrRegistry shape), so tmlint
+// The attr arrives as a parameter (a TmPolicy::attrOf shape), so tmlint
 // cannot resolve the kind and checks the body conservatively — the
 // unsafeOp() switch is what licenses the allocation that follows.
 void

@@ -2,7 +2,7 @@
  * @file
  * tmlint fixture: raw allocation inside an atomic body. malloc/free
  * and operator new are irrevocable — an abort would leak (or worse,
- * double-free on retry). The tmsafe/tm_alloc.h wrappers defer the
+ * double-free on retry). tm::txMalloc / tm::txFree defer the
  * irrevocable half to commit/abort handlers and are TM_SAFE.
  */
 

@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "tm/api.h"
@@ -102,87 +100,6 @@ TEST_F(TmStringTest, MemcmpSignMatchesLibc)
                           return tmsafe::tm_memcmp(tx, a, "k1", 2);
                       }),
               0);
-}
-
-TEST_F(TmStringTest, MemsetFills)
-{
-    static char buf[100];
-    std::memset(buf, 1, sizeof(buf));
-    tm::run(attr, [&](tm::TxDesc &tx) {
-        tmsafe::tm_memset(tx, buf + 3, 0x7e, 90);
-    });
-    EXPECT_EQ(buf[2], 1);
-    for (int i = 3; i < 93; ++i)
-        ASSERT_EQ(buf[i], 0x7e);
-    EXPECT_EQ(buf[93], 1);
-}
-
-TEST_F(TmStringTest, StrlenMatches)
-{
-    static char s[128];
-    for (std::size_t len : {0u, 1u, 7u, 8u, 9u, 63u, 100u}) {
-        std::memset(s, 'q', len);
-        s[len] = '\0';
-        const std::size_t got = tm::run(attr, [&](tm::TxDesc &tx) {
-            return tmsafe::tm_strlen(tx, s);
-        });
-        EXPECT_EQ(got, len);
-        EXPECT_EQ(tmsafe::naive_strlen(s), len);
-    }
-}
-
-TEST_F(TmStringTest, StrncmpMatchesLibc)
-{
-    static char a[32];
-    static char b[32];
-    const char *cases[][2] = {{"hello", "hello"}, {"hello", "help"},
-                              {"abc", "abcd"},    {"", ""},
-                              {"zz", "za"},       {"same", "same"}};
-    for (const auto &cs : cases) {
-        std::strcpy(a, cs[0]);
-        std::strcpy(b, cs[1]);
-        for (std::size_t n : {0u, 2u, 4u, 8u}) {
-            const int expect = std::strncmp(a, b, n);
-            const int got = tm::run(attr, [&](tm::TxDesc &tx) {
-                return tmsafe::tm_strncmp(tx, a, b, n);
-            });
-            EXPECT_EQ(got < 0, expect < 0) << cs[0] << " vs " << cs[1];
-            EXPECT_EQ(got > 0, expect > 0);
-        }
-    }
-}
-
-TEST_F(TmStringTest, StrncpyPadsWithNulsLikeLibc)
-{
-    static char src[16];
-    static char dst[16];
-    static char expect[16];
-    std::strcpy(src, "hi");
-    std::memset(dst, 0x55, sizeof(dst));
-    std::memset(expect, 0x55, sizeof(expect));
-    std::strncpy(expect, src, 10);
-    tm::run(attr, [&](tm::TxDesc &tx) {
-        tmsafe::tm_strncpy(tx, dst, src, 10);
-    });
-    EXPECT_EQ(std::memcmp(dst, expect, 16), 0);
-}
-
-TEST_F(TmStringTest, StrchrFindsAndMisses)
-{
-    static char s[] = "find the needle";
-    const char *hit = tm::run(attr, [&](tm::TxDesc &tx) {
-        return tmsafe::tm_strchr(tx, s, 'n');
-    });
-    EXPECT_EQ(hit, std::strchr(s, 'n'));
-    const char *miss = tm::run(attr, [&](tm::TxDesc &tx) {
-        return tmsafe::tm_strchr(tx, s, 'z');
-    });
-    EXPECT_EQ(miss, nullptr);
-    // Searching for NUL returns the terminator, like libc.
-    const char *term = tm::run(attr, [&](tm::TxDesc &tx) {
-        return tmsafe::tm_strchr(tx, s, '\0');
-    });
-    EXPECT_EQ(term, s + std::strlen(s));
 }
 
 TEST_F(TmStringTest, TransactionalCopyIsAtomicUnderAbort)

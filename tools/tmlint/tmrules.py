@@ -469,8 +469,8 @@ class Checker:
                 continue
             if t.text in ("new", "delete"):
                 self._irrevocable(sf, t.line, mode, scopes[-1].serial,
-                                  f"raw '{t.text}' (use tm_alloc.h / "
-                                  "TxDesc allocation)", waived)
+                                  f"raw '{t.text}' (use tm::txMalloc / "
+                                  "tm::txFree)", waived)
                 k += 1
                 continue
             if nxt is not None and nxt.kind == "punct" \
