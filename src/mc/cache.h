@@ -63,18 +63,30 @@ namespace sites
 // In-Flight Switch column). item-release leads unconditionally with a
 // refcount RMW and the global-stats section with a volatile probe:
 // those *start serial* (the Start Serial column).
+//
+// The four sites declared /*privatizes=*/false (get-find,
+// item-release, stats-global, thread-stats) write only counters,
+// refcounts and LRU links, words no code touches outside a
+// transaction, and free only through the nested mc:slabs-free section,
+// which stays privatizing. So a GET's find and release commits and the
+// stats bumps skip the quiescence scan, while a GET that frees an item
+// still waits (site.h, SiteInfo::privatizes).
 inline const SiteInfo getFind{"mc:get-find", kNoUnsafe,
-                              kVolatile | kLib | kRmw | kIo};
+                              kVolatile | kLib | kRmw | kIo,
+                              /*read_only=*/false, /*privatizes=*/false};
 // get-copy only reads shared state (the value bytes stream into the
 // caller's private buffer), so it carries the read-only hint: branches
 // where the memcpy is transaction-safe run it as an invisible reader.
 inline const SiteInfo getCopy{"mc:get-copy", kLib, kIo, true};
-inline const SiteInfo release{"mc:item-release", kRmw, kIo};
+inline const SiteInfo release{"mc:item-release", kRmw, kIo,
+                              /*read_only=*/false, /*privatizes=*/false};
 inline const SiteInfo alloc{"mc:slabs-alloc", kNoUnsafe, kIo};
 inline const SiteInfo evict{"mc:evict", kNoUnsafe, kRmw | kLib | kIo};
 inline const SiteInfo storeLink{"mc:store-link", kNoUnsafe,
                                 kLib | kRmw | kIo};
-inline const SiteInfo globalStats{"mc:stats-global", kVolatile, kNoUnsafe};
+inline const SiteInfo globalStats{"mc:stats-global", kVolatile, kNoUnsafe,
+                                  /*read_only=*/false,
+                                  /*privatizes=*/false};
 inline const SiteInfo expandTrigger{"mc:expand-trigger", kVolatile, kIo};
 inline const SiteInfo del{"mc:delete", kNoUnsafe, kLib | kRmw | kIo};
 inline const SiteInfo arithFind{"mc:arith-find", kNoUnsafe,
@@ -85,7 +97,9 @@ inline const SiteInfo concatFind{"mc:concat-find", kNoUnsafe,
 inline const SiteInfo concatApply{"mc:concat-apply", kLib, kIo};
 inline const SiteInfo touch{"mc:touch", kNoUnsafe,
                             kVolatile | kLib | kIo};
-inline const SiteInfo threadStats{"mc:thread-stats", kNoUnsafe, kNoUnsafe};
+inline const SiteInfo threadStats{"mc:thread-stats", kNoUnsafe, kNoUnsafe,
+                                  /*read_only=*/false,
+                                  /*privatizes=*/false};
 inline const SiteInfo statsRender{"mc:stats-render", kVolatile | kLib,
                                   kNoUnsafe};
 inline const SiteInfo slabsFreeNested{"mc:slabs-free", kNoUnsafe, kIo};

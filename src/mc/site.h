@@ -84,9 +84,11 @@ tmBranchIndex(const BranchCfg &cfg)
 struct SiteInfo
 {
     constexpr SiteInfo(const char *site_name, UnsafeMask always_unsafe,
-                       UnsafeMask maybe_unsafe, bool read_only = false)
+                       UnsafeMask maybe_unsafe, bool read_only = false,
+                       bool privatizes_memory = true)
         : name(site_name), alwaysUnsafe(always_unsafe),
-          maybeUnsafe(maybe_unsafe), readOnly(read_only)
+          maybeUnsafe(maybe_unsafe), readOnly(read_only),
+          privatizes(privatizes_memory)
     {
         for (std::size_t i = 0; i < kTmBranchCount; ++i) {
             const bool always = anyUnsafe(kTmBranches[i], alwaysUnsafe);
@@ -100,6 +102,7 @@ struct SiteInfo
             // for the invisible-reader fast path — unless it must
             // start serial, in which case it never runs speculatively.
             a.readOnlyHint = readOnly && !always;
+            a.privatizes = privatizes;
         }
     }
 
@@ -112,6 +115,19 @@ struct SiteInfo
      *  may start it on the invisible-reader fast path. Advisory — a
      *  store would still promote to the full path at run time. */
     bool readOnly;
+    /**
+     * Some code accesses, outside any transaction, memory that this
+     * section's commit makes private, so its writer commits must
+     * quiesce (tm::TxnAttr::privatizes). Declare a section
+     * non-privatizing only when every word it writes is read and
+     * written solely inside transactions in every branch (counters,
+     * refcounts, LRU links) and every free it does runs through a
+     * nested privatizing section such as mc:slabs-free: the nested
+     * section makes the enclosing commit wait, the rest needs no wait.
+     * The IP branches' plain item accesses are covered by the
+     * tm-boolean acquire, which stays privatizing.
+     */
+    bool privatizes;
     /** This site's transaction attributes under kTmBranches[i]. */
     tm::TxnAttr attrs[kTmBranchCount];
 };

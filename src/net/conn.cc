@@ -50,6 +50,12 @@ Conn::onReadable(std::uint32_t worker, const ExecFn &exec)
                 closeReason_ = CloseReason::Peer;
                 return false;
             }
+            // A short read took everything queued (memcached's
+            // try_read_network): skip the read that would only say
+            // EAGAIN. Bytes or a FIN arriving later make the
+            // level-triggered epoll report the socket again.
+            if (static_cast<std::size_t>(n) < sizeof(chunk))
+                break;
             continue;
         }
         if (n == 0) {

@@ -139,6 +139,10 @@ class Conn
     /** Requests executed on this connection (served-response count). */
     std::uint64_t requestsServed() const { return served_; }
 
+    /** Readiness events the owning loop has registered for the socket
+     *  (memcached's ev_flags): it re-registers only when they change. */
+    std::uint32_t evFlags = 0;
+
   private:
     /**
      * Execute-and-flush until a fixed point: no more complete frames,

@@ -128,8 +128,9 @@ EventLoop::adoptPending()
             ::close(fd);
             continue;
         }
-        conns_.emplace(fd, std::make_unique<Conn>(fd, nextConnId_++,
-                                                  limits_));
+        auto conn = std::make_unique<Conn>(fd, nextConnId_++, limits_);
+        conn->evFlags = EPOLLIN;
+        conns_.emplace(fd, std::move(conn));
         open_.fetch_add(1, std::memory_order_relaxed);
         counters_.currConnections.fetch_add(1, std::memory_order_relaxed);
     }
@@ -183,11 +184,15 @@ EventLoop::retireDrained()
 void
 EventLoop::updateInterest(Conn &c)
 {
+    const std::uint32_t want = (c.wantsRead() ? EPOLLIN : 0u) |
+                               (c.wantsWrite() ? EPOLLOUT : 0u);
+    if (want == c.evFlags)
+        return;  // Unchanged: no syscall (memcached's update_event).
     epoll_event ev{};
-    ev.events = (c.wantsRead() ? EPOLLIN : 0u) |
-                (c.wantsWrite() ? EPOLLOUT : 0u);
+    ev.events = want;
     ev.data.fd = c.fd();
-    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, c.fd(), &ev);
+    if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, c.fd(), &ev) == 0)
+        c.evFlags = want;
 }
 
 void

@@ -132,7 +132,8 @@ class EventLoop
     void reapIdle();
     /** Drain mode: retire connections whose replies are all out. */
     void retireDrained();
-    /** Point epoll interest at wantsRead()/wantsWrite(). */
+    /** Point epoll interest at wantsRead()/wantsWrite(); a no-op
+     *  while they match what is registered (Conn::evFlags). */
     void updateInterest(Conn &c);
 
     std::uint32_t worker_;

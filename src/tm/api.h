@@ -224,6 +224,9 @@ run(const TxnAttr &attr, F &&body) -> std::invoke_result_t<F &, TxDesc &>
                   attr.name, d.attr ? d.attr->name : "?");
         }
         ++d.nesting;
+        // The flattened section's privatization needs become the
+        // enclosing attempt's (TxDesc::privatizing).
+        d.privatizing |= attr.privatizes;
         struct NestGuard
         {
             TxDesc &d;

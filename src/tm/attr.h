@@ -81,6 +81,27 @@ struct TxnAttr
      */
     bool readOnlyHint = false;
     /**
+     * True when code may access, outside any transaction, memory that
+     * this transaction's commit makes private: the transaction unlinks
+     * a node, pops a chunk or takes a tm-boolean lock, and the
+     * committing thread (or one it hands off to) then uses the memory
+     * with plain loads and stores. Such a commit must quiesce: wait
+     * for every same-domain transaction that started before it, so
+     * that no doomed reader still sees the memory and no eager writer
+     * still has to undo a store into it.
+     *
+     * A writer commit quiesces when its top-level site or any section
+     * nested in it privatizes, or when it deferred a txFree or
+     * registered an onCommit handler. libitm quiesces every writer
+     * commit; this flag narrows the rule, and the narrowing is sound
+     * only for a site whose writes land solely in words that no code
+     * ever accesses outside a transaction (counters, refcounts, LRU
+     * links) and whose every free goes through a privatizing nested
+     * section. A site may be declared non-privatizing only then.
+     * Defaults to true, the libitm rule.
+     */
+    bool privatizes = true;
+    /**
      * Dense per-site statistics index plus one, assigned on the
      * site's first transaction (0: not yet; see tm/stats.h). Written
      * once, under the slot registry lock. The atomic makes TxnAttr

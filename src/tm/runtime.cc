@@ -390,6 +390,7 @@ beginAttempt(Runtime &rt, TxDesc &d)
         d.pendingSerialRestart || rt.cfg().algo == AlgoKind::Serial;
     d.clearSets();
     d.nesting = 1;
+    d.privatizing = d.attr->privatizes;
     d.obsAttempts++;
     // Latch the opacity recorder before any lock wait or access: the
     // begin stamp may only predate the attempt's first access.
@@ -444,9 +445,14 @@ commitAttempt(Runtime &rt, TxDesc &d)
         // Also releases the serial lock's read mode.
         d.unpublishStart();
         // Privatization safety / safe reclamation: wait out every
-        // transaction that started before this commit. Must happen
-        // after unpublishing so concurrent committers cannot deadlock.
-        if (quiesce_at != 0)
+        // transaction that started before this commit, if anything
+        // after it touches shared memory outside a transaction (a
+        // privatizing section, a deferred free, an onCommit handler;
+        // TxnAttr::privatizes). Must happen after unpublishing so
+        // concurrent committers cannot deadlock.
+        if (quiesce_at != 0 &&
+            (d.privatizing || !d.commitFrees.empty() ||
+             !d.onCommitHandlers.empty()))
             rt.quiesce(&d.dom(), quiesce_at, &d);
     } else {
         // A serial attempt writes raw and moves neither clock, so a

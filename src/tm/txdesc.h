@@ -123,6 +123,18 @@ class alignas(cachelineBytes) TxDesc
      *  write (promotion) or a conflict (the full path can extend its
      *  start time; the fast path cannot). Cleared by setupTop. */
     bool roPromote = false;
+    /**
+     * This attempt's writer commit must quiesce (TxnAttr::privatizes):
+     * beginAttempt sets it from the top-level site, and every nested
+     * tm::run ORs in its own site's flag, so a privatizing section
+     * flattened into a non-privatizing transaction still makes the
+     * whole commit wait. A deferred free or an onCommit handler
+     * forces the wait as well (commitAttempt). Skipping the wait
+     * otherwise is sound because it protects only what runs after
+     * the commit outside a transaction; no other transaction's
+     * safety rests on this commit waiting (TxnAttr::privatizes).
+     */
+    bool privatizing = true;
     /** Consecutive conflict aborts of the current transaction. */
     std::uint32_t consecAborts = 0;
 

@@ -17,6 +17,12 @@
  * happens-before analysis cannot (a too-weak ordering that is not a
  * data race).
  *
+ * The mixed-access shapes (MixedLitmusTest) add the cases where plain
+ * and transactional accesses meet: privatization via a flag, the
+ * eager doomed writer under weak isolation, and publication. Each runs
+ * twice, with the privatizing transaction declared privatizing
+ * (tm::TxnAttr::privatizes, so its commit quiesces) and declared not.
+ *
  * Harness: persistent threads with atomic round/done counters as
  * barriers (thread churn would dominate at thousands of rounds).
  * TMEMC_LITMUS_ROUNDS overrides the per-test round count.
@@ -25,10 +31,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "litmus_harness.h"
@@ -204,6 +213,200 @@ TEST_P(LitmusTest, Iriw)
         });
 }
 
+/**
+ * Mixed transactional/plain litmus shapes, after Chong, Sorensen and
+ * Wickerson's privatization and publication tests. The parameter is
+ * the algorithm and whether the privatizing (or publishing)
+ * transaction is declared privatizing. Only the declared run must
+ * forbid the privatization shapes' bad outcomes: without the
+ * declaration the commit does not quiesce, which is exactly what the
+ * declaration exists to demand, and those runs report how often the
+ * outcome showed.
+ *
+ * "Plain" accesses are tm::rawLoad/rawStore, the relaxed word accesses
+ * the TM itself uses for uninstrumented memory: non-transactional, yet
+ * not a data race in the C++ sense, so the undeclared runs stay clean
+ * under TSan while keeping weak isolation's hazards.
+ */
+class MixedLitmusTest
+    : public ::testing::TestWithParam<std::tuple<tm::AlgoKind, bool>>
+{
+  protected:
+    void SetUp() override { useRuntime(std::get<0>(GetParam())); }
+    void
+    TearDown() override
+    {
+        tm::Runtime::get().configure(tm::RuntimeCfg{});
+    }
+
+    /** The privatizer's (publisher's) site under this run. */
+    static const tm::TxnAttr &
+    privatizerAttr()
+    {
+        static const tm::TxnAttr declared{"litmus:privatizer",
+                                          tm::TxnKind::Atomic, false};
+        static const tm::TxnAttr undeclared{
+            "litmus:privatizer-undeclared", tm::TxnKind::Atomic, false,
+            /*readOnlyHint=*/false, /*privatizes=*/false};
+        return std::get<1>(GetParam()) ? declared : undeclared;
+    }
+
+    /** The other thread's site: never privatizing, in either run. */
+    static const tm::TxnAttr &
+    otherAttr()
+    {
+        static const tm::TxnAttr attr{"litmus:other", tm::TxnKind::Atomic,
+                                      false, /*readOnlyHint=*/false,
+                                      /*privatizes=*/false};
+        return attr;
+    }
+
+    /** Assert @p bad never held in the declared run; in the other
+     *  run, report how many rounds showed it. */
+    void
+    forbidIfDeclared(int bad_rounds, const char *what)
+    {
+        if (std::get<1>(GetParam())) {
+            EXPECT_EQ(bad_rounds, 0) << what;
+        } else {
+            RecordProperty("undeclared_bad_rounds", bad_rounds);
+            std::printf("[ undeclared ] %s: %d of %d rounds\n", what,
+                        bad_rounds, litmusRounds());
+        }
+    }
+
+    void
+    newRound()
+    {
+        tm::rawStore(&x_, 0);
+        tm::rawStore(&flag_, 0);
+        written_ = false;
+    }
+
+    /** T0's privatizing commit of flag = 1, once T1's transaction has
+     *  written x and is lingering (the overlap both shapes need). */
+    void
+    privatize()
+    {
+        const auto limit = std::chrono::steady_clock::now() + kLimit;
+        while (!written_.load() && std::chrono::steady_clock::now() < limit)
+            std::this_thread::yield();
+        tm::run(privatizerAttr(), [&](tm::TxDesc &tx) {
+            tm::txStore<std::uint64_t>(tx, &flag_, 1);
+        });
+    }
+
+    /** T1: tx { if (flag == 0) x = 1 }, lingering after the write
+     *  until T0's flag commit lands, so the attempt is doomed while
+     *  T0 runs its plain access. A quiescing T0 stores flag before it
+     *  waits for this attempt, so the linger ends without help; the
+     *  time bound only guards against a stalled thread. */
+    void
+    writeUnlessPrivatized()
+    {
+        tm::run(otherAttr(), [&](tm::TxDesc &tx) {
+            if (tm::txLoad(tx, &flag_) != 0)
+                return;
+            tm::txStore<std::uint64_t>(tx, &x_, 1);
+            written_ = true;
+            const auto limit = std::chrono::steady_clock::now() + kLimit;
+            while (tm::rawLoad(&flag_) == 0 &&
+                   std::chrono::steady_clock::now() < limit)
+                std::this_thread::yield();
+        });
+    }
+
+    /** Bound on each handshake wait (reached only if a thread stalls). */
+    static constexpr std::chrono::seconds kLimit{5};
+
+    std::atomic<bool> written_{false};
+
+    alignas(64) std::uint64_t x_ = 0;
+    alignas(64) std::uint64_t flag_ = 0;
+};
+
+TEST_P(MixedLitmusTest, PrivatizationViaFlag)
+{
+    // T0: tx { priv = 1 }; x = 2 (plain).
+    // T1: tx { if (priv == 0) x = 1 }.
+    // Forbidden: final x != 2. If T1 serialized first, its write lands
+    // before T0's plain store; if after, it sees priv == 1 and does
+    // not write. The schedule is forced: T1 has read priv == 0 and
+    // written x when T0 commits, so T1 is doomed. x == 0 is its undo
+    // clobbering the plain store (GccEager's direct update); x == 1
+    // would be a write-back landing after it.
+    int bad = 0;
+    litmusRun(
+        litmusRounds(),
+        [&] { newRound(); },
+        {[&] {
+             privatize();
+             tm::rawStore(&x_, 2);
+         },
+         [&] { writeUnlessPrivatized(); }},
+        [&](int) { bad += tm::rawLoad(&x_) != 2; });
+    forbidIfDeclared(bad, "privatized x clobbered after the plain store");
+}
+
+TEST_P(MixedLitmusTest, EagerDoomedWriterUnderWeakIsolation)
+{
+    // T0: tx { priv = 1 }; r = x (plain).
+    // T1: tx { if (priv == 0) x = 1 }, doomed by T0's commit as above.
+    // Forbidden: r != final x. r == 1 with x == 0 is a plain read of
+    // the doomed transaction's in-place write (GccEager's direct
+    // update); r == 0 with x == 1 would miss a write serialized before
+    // the privatization. The redo-log algorithms never expose a
+    // doomed write, so only GccEager can show the outcome undeclared.
+    std::uint64_t r = 0;
+    int bad = 0;
+    litmusRun(
+        litmusRounds(),
+        [&] {
+            newRound();
+            r = 0;
+        },
+        {[&] {
+             privatize();
+             r = tm::rawLoad(&x_);
+         },
+         [&] { writeUnlessPrivatized(); }},
+        [&](int) { bad += r != tm::rawLoad(&x_); });
+    forbidIfDeclared(bad, "plain read disagrees with the final x");
+}
+
+TEST_P(MixedLitmusTest, Publication)
+{
+    // T0: x = 1 (plain); tx { flag = 1 }.
+    // T1: tx { rf = flag; if (rf == 1) rx = x }.
+    // Forbidden: rf == 1 && rx == 0 — the flag's commit publishes the
+    // plain store before it. Publication safety rests on the commit's
+    // release ordering, not on quiescence, so both runs forbid it.
+    std::uint64_t rf = 0, rx = 0;
+    litmusRun(
+        litmusRounds(),
+        [&] {
+            newRound();
+            rf = rx = 0;
+        },
+        {[&] {
+             tm::rawStore(&x_, 1);
+             tm::run(privatizerAttr(), [&](tm::TxDesc &tx) {
+                 tm::txStore<std::uint64_t>(tx, &flag_, 1);
+             });
+         },
+         [&] {
+             tm::run(otherAttr(), [&](tm::TxDesc &tx) {
+                 rf = tm::txLoad(tx, &flag_);
+                 rx = rf == 1 ? tm::txLoad(tx, &x_) : 0;
+             });
+         }},
+        [&](int round) {
+            ASSERT_FALSE(rf == 1 && rx == 0)
+                << "publication: flag seen without the payload at round "
+                << round;
+        });
+}
+
 TEST(ArmedLatchLitmus, ArmedLatchPublishesConfig)
 {
     // From atomlint's initial tree scan (AL2, armed-latch protocol):
@@ -253,5 +456,17 @@ INSTANTIATE_TEST_SUITE_P(Algos, LitmusTest,
                          [](const auto &info) {
                              return tmemc::tests::algoName(info.param);
                          });
+
+INSTANTIATE_TEST_SUITE_P(
+    Algos, MixedLitmusTest,
+    ::testing::Combine(::testing::Values(tm::AlgoKind::GccEager,
+                                         tm::AlgoKind::Lazy,
+                                         tm::AlgoKind::NOrec,
+                                         tm::AlgoKind::RA),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return tmemc::tests::algoName(std::get<0>(info.param)) +
+               (std::get<1>(info.param) ? "_Declared" : "_Undeclared");
+    });
 
 } // namespace

@@ -7,12 +7,23 @@
  * explicit privatization; the Draft C++ TM Specification requires the
  * TM to make it safe, and GCC's default algorithm provides it via
  * commit-time quiescence. These tests drive that pattern hard.
+ *
+ * tmemc quiesces only the writer commits that need it
+ * (tm::TxnAttr::privatizes): a privatizing site or nested section, a
+ * deferred free, or an onCommit handler. QuiescenceRuleTest pins that
+ * rule against a transaction held open on another thread, and the
+ * NestedPop case checks that a privatizing section flattened into a
+ * non-privatizing transaction still protects the memory it unlinks.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +37,10 @@ using namespace tmemc;
 
 const tm::TxnAttr lockAttr{"priv:lock", tm::TxnKind::Atomic, false};
 const tm::TxnAttr touchAttr{"priv:touch", tm::TxnKind::Atomic, false};
+/** A site whose commits need no quiescence of their own. */
+const tm::TxnAttr noPrivAttr{"priv:no-priv", tm::TxnKind::Atomic, false,
+                             /*readOnlyHint=*/false,
+                             /*privatizes=*/false};
 
 class PrivatizationTest : public ::testing::TestWithParam<tm::AlgoKind>
 {
@@ -109,20 +124,35 @@ TEST_P(PrivatizationTest, PrivatizedDataNotClobbered)
     EXPECT_EQ(v, u + 1);
 }
 
-TEST_P(PrivatizationTest, UnlinkThenReclaimIsSafe)
+struct Node
 {
-    // The classic privatization idiom: transactionally unlink a node
-    // from a shared list, then read/write and free it privately.
-    struct Node
-    {
-        std::uint64_t value;
-        Node *next;
-    };
+    std::uint64_t value;
+    Node *next;
+};
+
+const tm::TxnAttr popAttr{"priv:pop", tm::TxnKind::Atomic, false};
+const tm::TxnAttr scanAttr{"priv:scan", tm::TxnKind::Atomic, false};
+
+/** Transactionally unlink the list's first node (nullptr: empty). */
+Node *
+popBody(tm::TxDesc &tx, Node **head)
+{
+    Node *h = tm::txLoad(tx, head);
+    if (h == nullptr)
+        return nullptr;
+    tm::txStore<Node *>(tx, head, tm::txLoad(tx, &h->next));
+    return h;
+}
+
+/**
+ * The classic privatization idiom: @p pop transactionally unlinks a
+ * node from a shared list, then the popper reads/writes and frees it
+ * privately while another thread scans the list transactionally.
+ */
+void
+unlinkThenReclaim(const std::function<Node *(Node **)> &pop)
+{
     static Node *head;
-    static const tm::TxnAttr popAttr{"priv:pop", tm::TxnKind::Atomic,
-                                     false};
-    static const tm::TxnAttr scanAttr{"priv:scan", tm::TxnKind::Atomic,
-                                      false};
 
     constexpr int nodes = 2000;
     head = nullptr;
@@ -152,14 +182,7 @@ TEST_P(PrivatizationTest, UnlinkThenReclaimIsSafe)
     });
     std::thread popper([&] {
         for (int i = 0; i < nodes; ++i) {
-            Node *mine = tm::run(popAttr, [&](tm::TxDesc &tx) -> Node * {
-                Node *h = tm::txLoad(tx, &head);
-                if (h == nullptr)
-                    return nullptr;
-                tm::txStore<Node *>(tx, &head,
-                                    tm::txLoad(tx, &h->next));
-                return h;
-            });
+            Node *mine = pop(&head);
             if (mine == nullptr)
                 break;
             // Privatized: plain access, then reclamation.
@@ -174,12 +197,187 @@ TEST_P(PrivatizationTest, UnlinkThenReclaimIsSafe)
     EXPECT_EQ(head, nullptr);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Algos, PrivatizationTest,
-    ::testing::Values(tm::AlgoKind::GccEager, tm::AlgoKind::Lazy,
-                      tm::AlgoKind::NOrec, tm::AlgoKind::RA),
-    [](const ::testing::TestParamInfo<tm::AlgoKind> &info) {
-        return tmemc::tests::algoName(info.param);
+TEST_P(PrivatizationTest, UnlinkThenReclaimIsSafe)
+{
+    unlinkThenReclaim([](Node **head) {
+        return tm::run(popAttr, [&](tm::TxDesc &tx) {
+            return popBody(tx, head);
+        });
     });
+}
+
+TEST_P(PrivatizationTest, NestedPopInNonPrivatizingTxIsSafe)
+{
+    // The pop is a privatizing section flattened into a transaction
+    // whose own site is declared non-privatizing (the shape of a GET's
+    // release freeing through mc:slabs-free). The nested section's
+    // flag must make the enclosing commit quiesce.
+    unlinkThenReclaim([](Node **head) {
+        return tm::run(noPrivAttr, [&](tm::TxDesc &) {
+            return tm::run(popAttr, [&](tm::TxDesc &tx) {
+                return popBody(tx, head);
+            });
+        });
+    });
+}
+
+/** Poll @p flag until it is set or @p limit passes. */
+bool
+becomesTrue(const std::atomic<bool> &flag, std::chrono::milliseconds limit)
+{
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!flag.load()) {
+        if (std::chrono::steady_clock::now() >= deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+/**
+ * Which writer commits quiesce. A holder thread keeps a same-domain
+ * transaction open behind a latch; a writer thread then commits one
+ * transaction. A commit that must quiesce cannot return until the
+ * latch opens; one that need not returns while it is closed.
+ *
+ * Neither verdict rests on timing: a quiescing commit never returns
+ * while the latch is closed, however long the test waits, and a
+ * non-quiescing one is given up to kReturns. The kBlocked window only
+ * bounds how long a missing wait takes to show.
+ */
+class QuiescenceRuleTest : public ::testing::TestWithParam<tm::AlgoKind>
+{
+  protected:
+    /** How long a quiescing commit is watched while the latch is closed. */
+    static constexpr std::chrono::milliseconds kBlocked{200};
+    /** Upper bound for a commit that must (now) return. */
+    static constexpr std::chrono::milliseconds kReturns{20000};
+
+    void
+    SetUp() override
+    {
+        tmemc::tests::useRuntime(GetParam(), tm::CmKind::NoCM);
+    }
+
+    /** Run @p writer on its own thread while a transaction is held
+     *  open. @return whether its commit returned within @p limit with
+     *  the holder still open. */
+    bool
+    returnsWhileHeld(const std::function<void()> &writer,
+                     std::chrono::milliseconds limit)
+    {
+        static const tm::TxnAttr holdAttr{"quiesce:hold",
+                                          tm::TxnKind::Atomic, false};
+        std::atomic<bool> started{false}, open{false}, done{false};
+        std::thread holder([&] {
+            // An empty body: nothing to conflict with, so the one
+            // attempt's published start stays put until the latch.
+            tm::run(holdAttr, [&](tm::TxDesc &) {
+                started = true;
+                while (!open.load())
+                    std::this_thread::yield();
+            });
+        });
+        EXPECT_TRUE(becomesTrue(started, kReturns));
+        std::thread committer([&] {
+            writer();
+            done = true;
+        });
+        const bool returned = becomesTrue(done, limit);
+        open = true;
+        EXPECT_TRUE(becomesTrue(done, kReturns))
+            << "the commit never returned";
+        committer.join();
+        holder.join();
+        return returned;
+    }
+
+    /** The commit must not wait for the holder. */
+    void
+    expectNoWait(const std::function<void()> &writer)
+    {
+        EXPECT_TRUE(returnsWhileHeld(writer, kReturns));
+    }
+
+    /** The commit must wait for the holder. */
+    void
+    expectWait(const std::function<void()> &writer)
+    {
+        EXPECT_FALSE(returnsWhileHeld(writer, kBlocked));
+    }
+
+    std::uint64_t word_ = 0;
+};
+
+TEST_P(QuiescenceRuleTest, NonPrivatizingWriterDoesNotWait)
+{
+    // A nested section that is non-privatizing too adds no wait.
+    expectNoWait([this] {
+        tm::run(noPrivAttr, [&](tm::TxDesc &tx) {
+            tm::txStore<std::uint64_t>(tx, &word_, 1);
+            tm::run(noPrivAttr, [&](tm::TxDesc &inner) {
+                tm::txStore<std::uint64_t>(inner, &word_, 2);
+            });
+        });
+    });
+    EXPECT_EQ(word_, 2u);
+}
+
+TEST_P(QuiescenceRuleTest, PrivatizingWriterWaits)
+{
+    expectWait([this] {
+        tm::run(popAttr, [&](tm::TxDesc &tx) {
+            tm::txStore<std::uint64_t>(tx, &word_, 1);
+        });
+    });
+}
+
+TEST_P(QuiescenceRuleTest, NestedPrivatizingSectionMakesCommitWait)
+{
+    expectWait([this] {
+        tm::run(noPrivAttr, [&](tm::TxDesc &tx) {
+            tm::txStore<std::uint64_t>(tx, &word_, 1);
+            tm::run(popAttr, [&](tm::TxDesc &inner) {
+                tm::txStore<std::uint64_t>(inner, &word_, 2);
+            });
+        });
+    });
+}
+
+TEST_P(QuiescenceRuleTest, DeferredFreeMakesCommitWait)
+{
+    expectWait([this] {
+        void *buf = std::malloc(64);
+        tm::run(noPrivAttr, [&](tm::TxDesc &tx) {
+            tm::txStore<std::uint64_t>(tx, &word_, 1);
+            tm::txFree(tx, buf);
+        });
+    });
+}
+
+TEST_P(QuiescenceRuleTest, OnCommitHandlerMakesCommitWait)
+{
+    bool ran = false;
+    expectWait([&] {
+        tm::run(noPrivAttr, [&](tm::TxDesc &tx) {
+            tm::txStore<std::uint64_t>(tx, &word_, 1);
+            tm::onCommit(tx, [&] { ran = true; });
+        });
+    });
+    EXPECT_TRUE(ran);
+}
+
+const auto kAlgos = ::testing::Values(tm::AlgoKind::GccEager,
+                                      tm::AlgoKind::Lazy,
+                                      tm::AlgoKind::NOrec, tm::AlgoKind::RA);
+
+std::string
+algoParamName(const ::testing::TestParamInfo<tm::AlgoKind> &info)
+{
+    return tmemc::tests::algoName(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Algos, PrivatizationTest, kAlgos, algoParamName);
+INSTANTIATE_TEST_SUITE_P(Algos, QuiescenceRuleTest, kAlgos, algoParamName);
 
 } // namespace

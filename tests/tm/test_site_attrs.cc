@@ -1,7 +1,8 @@
 /**
  * @file
  * Site attributes are fixed when a SiteInfo is built: for every TM
- * branch, each cache site's TxnAttr must follow from its unsafe masks,
+ * branch, each cache site's TxnAttr must follow from its unsafe masks
+ * and its read-only and privatizing declarations,
  * and the policy's lookup must hand out one stable attribute per
  * (site, branch).
  */
@@ -90,8 +91,22 @@ TEST(SiteAttrs, DerivedPerBranchFromMasksDistinctAndStable)
                                               : tm::TxnKind::Atomic);
             EXPECT_EQ(a.startsSerial, always);
             EXPECT_EQ(a.readOnlyHint, site->readOnly && !always);
+            EXPECT_EQ(a.privatizes, site->privatizes);
         }
     }
+
+    // Only the sites whose writes never meet a plain access skip the
+    // commit-time quiescence (site.h, SiteInfo::privatizes); every
+    // free they do runs through mc:slabs-free, which must privatize.
+    std::set<std::string> non_privatizing;
+    for (const mc::SiteInfo *site : sites)
+        if (!site->privatizes)
+            non_privatizing.insert(site->name);
+    EXPECT_EQ(non_privatizing,
+              (std::set<std::string>{"mc:get-find", "mc:item-release",
+                                     "mc:stats-global",
+                                     "mc:thread-stats"}));
+    EXPECT_TRUE(mc::sites::slabsFreeNested.privatizes);
 
     // The paper's endpoints: at stage 3 get-copy's libc memcpy makes
     // it start serial; from onCommit on no site is relaxed at all.
