@@ -75,7 +75,8 @@ BENCHMARK(BM_TxnRmw)
     ->Arg(static_cast<int>(tm::AlgoKind::GccEager))
     ->Arg(static_cast<int>(tm::AlgoKind::Lazy))
     ->Arg(static_cast<int>(tm::AlgoKind::NOrec))
-    ->Arg(static_cast<int>(tm::AlgoKind::Serial));
+    ->Arg(static_cast<int>(tm::AlgoKind::Serial))
+    ->Arg(static_cast<int>(tm::AlgoKind::RA));
 
 void
 BM_SingleLocationTxnExpr(benchmark::State &state)

@@ -200,7 +200,7 @@ class CacheCore
         struct Found
         {
             Item *it = nullptr;
-            std::uint32_t nbytes = 0;
+            std::uint32_t nbytes = 0;  //!< Expired items only.
             std::uint64_t cas = 0;
             bool expired = false;
         };
@@ -229,7 +229,6 @@ class CacheCore
             }
             c.logEvent(cfg_.verbose >= 2, "> GET");
             r.it = it;
-            r.nbytes = c.load(&it->nbytes);
             r.cas = c.load(&it->casId);
             return r;
         });
@@ -247,14 +246,19 @@ class CacheCore
 
         // Phase 2 (item domain): copy the value out. This is the IP/IT
         // fork: a privatized plain copy under the tm-boolean, or an
-        // instrumented copy inside an item transaction.
-        const std::size_t copy_len =
-            f.nbytes < out_cap ? f.nbytes : out_cap;
-        policy_.itemSection(sites::getCopy, hv, [&](auto &c) {
+        // instrumented copy inside an item transaction. The length is
+        // read here, not in phase 1: incr/decr and an in-place append
+        // or prepend rewrite the value and its length under this same
+        // item lock or transaction while we hold our reference.
+        const std::uint32_t vlen = policy_.itemSection(
+            sites::getCopy, hv, [&](auto &c) -> std::uint32_t {
             const std::uint16_t nk = c.load(&f.it->nkey);
-            const char *val = itemValuePtr(f.it, nk);
-            c.memcpyOut(out, val, copy_len);
+            const std::uint32_t nb = c.load(&f.it->nbytes);
+            c.memcpyOut(out, itemValuePtr(f.it, nk),
+                        nb < out_cap ? nb : out_cap);
+            return nb;
         });
+        const std::size_t copy_len = vlen < out_cap ? vlen : out_cap;
 
         // Phase 3 (cache domain): drop the reference; reclaim if the
         // item was replaced or deleted while we held it.
@@ -270,7 +274,7 @@ class CacheCore
         bumpThreadStat(tid, &ThreadStatsBlock::getHits);
         bumpThreadStat(tid, &ThreadStatsBlock::bytesWritten, copy_len);
         res.status = OpStatus::Ok;
-        res.vlen = f.nbytes;
+        res.vlen = vlen;
         res.casId = f.cas;
         return res;
     }
@@ -738,16 +742,25 @@ class CacheCore
         policy_.maintWakeUnlocked(c, MaintDomain::Slab);
     }
 
-    /** Block until no expansion or rebalance is in flight. */
+    /**
+     * Block until maintenance is idle: no expansion or rebalance in
+     * flight or pending, none left over that a store skipped while
+     * another was in flight, and both maintainers parked, so neither
+     * runs a transaction again until new work wakes it.
+     */
     void
     quiesceMaintenance()
     {
         tm::DomainScope ds(&domain_);
         PlainCtx<cfg> c;
-        while (c.volatileLoad(&assoc_.expanding) != 0 ||
-               c.volatileLoad(&slabs_.rebalSignal) != 0 ||
-               c.volatileLoad(&hashWorkPending_) != 0)
-            std::this_thread::yield();
+        do {
+            while (c.volatileLoad(&assoc_.expanding) != 0 ||
+                   c.volatileLoad(&slabs_.rebalSignal) != 0 ||
+                   c.volatileLoad(&hashWorkPending_) != 0 ||
+                   !maintainersParked())
+                std::this_thread::yield();
+            maybeTriggerExpansion();
+        } while (c.volatileLoad(&hashWorkPending_) != 0);
     }
 
   private:
@@ -1080,14 +1093,43 @@ class CacheCore
         });
     }
 
+    /**
+     * A maintainer's wait for work or halt, keeping @p parked set
+     * exactly while the maintainer sleeps with nothing to do: it is
+     * cleared before each probe's transactions and set once a probe
+     * finds no work. quiesceMaintenance() waits for both flags.
+     */
+    template <typename Work>
+    void
+    maintWaitParked(MaintDomain dom, std::uint64_t &parked, Work &&work)
+    {
+        policy_.maintWait(dom, [&](auto &c) {
+            __atomic_store_n(&parked, 0, __ATOMIC_RELAXED);
+            // Orders the clear before the work flags the maintainer
+            // stores later, which quiesceMaintenance() reads first.
+            __atomic_thread_fence(__ATOMIC_RELEASE);
+            const bool go = work(c) || c.volatileLoad(&mxCanRun_) == 0;
+            if (!go)
+                __atomic_store_n(&parked, 1, __ATOMIC_RELEASE);
+            return go;
+        });
+    }
+
+    bool
+    maintainersParked() const
+    {
+        __atomic_thread_fence(__ATOMIC_ACQUIRE);
+        return __atomic_load_n(&hashParked_, __ATOMIC_ACQUIRE) != 0 &&
+               __atomic_load_n(&slabParked_, __ATOMIC_ACQUIRE) != 0;
+    }
+
     void
     hashMaintLoop()
     {
         tm::DomainScope ds(&domain_);
         for (;;) {
-            policy_.maintWait(MaintDomain::Hash, [&](auto &c) {
-                return c.volatileLoad(&hashWorkPending_) != 0 ||
-                       c.volatileLoad(&mxCanRun_) == 0;
+            maintWaitParked(MaintDomain::Hash, hashParked_, [&](auto &c) {
+                return c.volatileLoad(&hashWorkPending_) != 0;
             });
             PlainCtx<cfg> pc;
             if (pc.volatileLoad(&mxCanRun_) == 0)
@@ -1169,9 +1211,8 @@ class CacheCore
     {
         tm::DomainScope ds(&domain_);
         for (;;) {
-            policy_.maintWait(MaintDomain::Slab, [&](auto &c) {
-                return c.volatileLoad(&slabs_.rebalSignal) != 0 ||
-                       c.volatileLoad(&mxCanRun_) == 0;
+            maintWaitParked(MaintDomain::Slab, slabParked_, [&](auto &c) {
+                return c.volatileLoad(&slabs_.rebalSignal) != 0;
             });
             PlainCtx<cfg> pc;
             if (pc.volatileLoad(&mxCanRun_) == 0)
@@ -1390,6 +1431,8 @@ class CacheCore
 
     std::uint64_t hashWorkPending_ = 0;  //!< Volatile category.
     std::uint64_t mxCanRun_ = 1;         //!< Volatile category.
+    std::uint64_t hashParked_ = 0;       //!< Set by maintWaitParked.
+    std::uint64_t slabParked_ = 0;       //!< Set by maintWaitParked.
 
     /** Mover completion generation, bumped after every pass (page
      *  moved or request refused); allocItem waits on it. */

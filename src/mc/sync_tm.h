@@ -215,10 +215,18 @@ class TmPolicy
     {
         // The maintainer probes its flags outside any critical section
         // (Figure 2); from the Max stage on, PlainCtx renders each
-        // probe as a transaction expression.
+        // probe as a transaction expression. Posts already made are
+        // drained before each probe: it sees every flag stored before
+        // them, and a stale post would only wake a parked maintainer
+        // into one more probe.
         PlainCtx<C> c;
-        while (!pred(c))
+        for (;;) {
+            while (sem(dom).tryWait()) {
+            }
+            if (pred(c))
+                return;
             sem(dom).wait();
+        }
     }
 
     /** TM branches have no pthread locks left to profile. */

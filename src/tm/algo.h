@@ -35,26 +35,17 @@ class Algo
     /** Stable algorithm name for reports. */
     virtual const char *name() const = 0;
 
-    /** Begin a speculative attempt (serial mode bypasses the algo). */
+    /**
+     * Begin a speculative attempt (serial mode bypasses the algo). The
+     * attempt runs on the invisible-reader fast path when the runtime
+     * set TxDesc::roFast before the call; begin() itself is the same.
+     */
     virtual void begin(Runtime &rt, TxDesc &d) = 0;
 
     /**
-     * Begin an invisible-reader (read-only fast path) attempt.
-     * @return false when the algorithm has no fast path; the caller
-     *         must then begin() on the full path instead.
-     */
-    virtual bool
-    beginRO(Runtime &rt, TxDesc &d)
-    {
-        (void)rt;
-        (void)d;
-        return false;
-    }
-
-    /**
      * Fast-path load: validate the word against the begin snapshot
-     * without recording it in any read set. Only called between a
-     * successful beginRO() and commit/rollback; a conflict throws
+     * without recording it in any read set. Only called on a roFast
+     * attempt, between begin() and commit/rollback; a conflict throws
      * TxAbort (there is no read set to extend or revalidate).
      */
     virtual std::uint64_t

@@ -42,13 +42,6 @@ class NOrecAlgo : public Algo
         }
     }
 
-    bool
-    beginRO(Runtime &rt, TxDesc &d) override
-    {
-        begin(rt, d);
-        return true;
-    }
-
     std::uint64_t
     loadWordRO(Runtime &rt, TxDesc &d, std::uintptr_t word_addr) override
     {
@@ -68,23 +61,19 @@ class NOrecAlgo : public Algo
     std::uint64_t
     loadWord(Runtime &rt, TxDesc &d, std::uintptr_t word_addr) override
     {
-        std::uint64_t buf_val = 0;
-        std::uint64_t buf_mask = 0;
-        const bool buffered = d.redoLog.lookup(word_addr, buf_val, buf_mask);
-        if (buffered && buf_mask == ~std::uint64_t{0})
-            return buf_val;
-
-        std::uint64_t mem = rawLoad(reinterpret_cast<void *>(word_addr));
-        std::atomic_thread_fence(std::memory_order_acquire);
-        // atom-allow: relaxed re-read ordered by the fence above
-        while (d.dom().norecSeq.load(std::memory_order_relaxed) !=
-               d.norecSnapshot) {
-            d.norecSnapshot = validate(rt, d);
-            mem = rawLoad(reinterpret_cast<void *>(word_addr));
+        return d.redoLog.readThrough(word_addr, [&] {
+            std::uint64_t mem = rawLoad(reinterpret_cast<void *>(word_addr));
             std::atomic_thread_fence(std::memory_order_acquire);
-        }
-        d.valueReads.push_back({word_addr, mem});
-        return buffered ? maskMerge(mem, buf_val, buf_mask) : mem;
+            // atom-allow: relaxed re-read ordered by the fence above
+            while (d.dom().norecSeq.load(std::memory_order_relaxed) !=
+                   d.norecSnapshot) {
+                d.norecSnapshot = validate(rt, d);
+                mem = rawLoad(reinterpret_cast<void *>(word_addr));
+                std::atomic_thread_fence(std::memory_order_acquire);
+            }
+            d.valueReads.push_back({word_addr, mem});
+            return mem;
+        });
     }
 
     void
@@ -110,10 +99,7 @@ class NOrecAlgo : public Algo
                 break;
             d.norecSnapshot = validate(rt, d);
         }
-        for (const RedoEntry &e : d.redoLog.entries()) {
-            void *p = reinterpret_cast<void *>(e.wordAddr);
-            rawStore(p, maskMerge(rawLoad(p), e.value, e.mask));
-        }
+        d.redoLog.writeBack();
         const std::uint64_t next = d.norecSnapshot + 2;
         d.dom().norecSeq.store(next, std::memory_order_release);
         d.clearSets();

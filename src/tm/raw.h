@@ -89,11 +89,12 @@ rawLoad(const void *word_addr)
 /**
  * Acquire atomic load of an aligned 64-bit word. Runtime-internal
  * escape hatch like rawLoad, for the fence-free validation idiom
- * (tm/algo_ra.cc): an acquire data load cannot be reordered with the
- * orec re-read that follows it, which is what makes the double-read
- * bracket sound without a standalone acquire fence. A relaxed data
- * load would NOT be held in place by an acquire re-read of the orec —
- * acquire only orders *later* accesses after itself.
+ * (AcquireOrder, tm/algo_orec_common.h): an acquire data load cannot
+ * be reordered with the orec re-read that follows it, which is what
+ * makes the double-read bracket sound without a standalone acquire
+ * fence. A relaxed data load would NOT be held in place by an acquire
+ * re-read of the orec — acquire only orders *later* accesses after
+ * itself.
  */
 TM_PURE TMEMC_ALWAYS_INLINE std::uint64_t
 rawLoadAcquire(const void *word_addr)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Masked redo log for buffered-update algorithms (Lazy, NOrec).
+ * Masked redo log for buffered-update algorithms (Lazy, RA, NOrec).
  *
  * Entries are word-granular with byte-enable masks. The paper notes
  * that buffering byte-by-byte stores (tm_memcpy) and later reading them
@@ -71,6 +71,35 @@ class RedoLog
         val = e.value;
         mask = e.mask;
         return true;
+    }
+
+    /**
+     * Read the word at @p word_addr through the log: buffered bytes win
+     * over @p read_memory(), which runs only when the log does not
+     * cover the whole word.
+     */
+    template <typename ReadMemory>
+    TMEMC_ALWAYS_INLINE std::uint64_t
+    readThrough(std::uintptr_t word_addr, ReadMemory &&read_memory) const
+    {
+        std::uint64_t val = 0;
+        std::uint64_t mask = 0;
+        const bool buffered = lookup(word_addr, val, mask);
+        if (buffered && mask == ~std::uint64_t{0})
+            return val;  // Fully covered by our own writes.
+        const std::uint64_t mem = read_memory();
+        return buffered ? maskMerge(mem, val, mask) : mem;
+    }
+
+    /** Merge every buffered write into memory. The caller excludes
+     *  other writers of these words (orec locks, NOrec's seqlock). */
+    void
+    writeBack() const
+    {
+        for (const RedoEntry &e : entries_) {
+            void *p = reinterpret_cast<void *>(e.wordAddr);
+            rawStore(p, maskMerge(rawLoad(p), e.value, e.mask));
+        }
     }
 
     /** All buffered entries, in insertion order. */

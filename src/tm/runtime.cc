@@ -419,12 +419,9 @@ beginAttempt(Runtime &rt, TxDesc &d)
     // writer commits must quiesce on fast readers like any others.
     // The published start is also the serial lock's read registration
     // (serial_lock.h); a writer in the way sends us round again.
-    const bool ro_fast = rt.cfg().roFastPath && d.attr->readOnlyHint &&
-                         !d.roPromote;
+    d.roFast = rt.cfg().roFastPath && d.attr->readOnlyHint && !d.roPromote;
     do {
-        d.roFast = ro_fast && rt.algo().beginRO(rt, d);
-        if (!d.roFast)
-            rt.algo().begin(rt, d);
+        rt.algo().begin(rt, d);
     } while (rt.cfg().useSerialLock && !d.dom().serialLock.admitReader(d));
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -170,6 +171,43 @@ TEST_P(ConcurrentBranchTest, ConcurrentArithNeverLosesIncrements)
     ASSERT_EQ(r.status, OpStatus::Ok);
     EXPECT_EQ(std::string(buf, r.vlen),
               std::to_string(threads * per_thread));
+}
+
+TEST_P(ConcurrentBranchTest, GetDuringInPlaceArithIsNotTorn)
+{
+    // incr/decr rewrite the value and its length in place while a GET
+    // holds its reference to the item. Flipping 99 <-> 100 changes the
+    // length, so a GET that pairs one rewrite's length with another's
+    // bytes returns "10" or "99\0" instead of a value someone wrote.
+    Settings s;
+    s.maxBytes = 4 * 1024 * 1024;
+    auto cache = makeCache(GetParam(), s, 2);
+    ASSERT_NE(cache, nullptr);
+    ASSERT_EQ(cache->store(0, "n", 1, "99", 2), OpStatus::Ok);
+
+    std::atomic<bool> stop{false};
+    std::thread flipper([&] {
+        std::uint64_t v = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+            cache->arith(0, "n", 1, 1, true, v);
+            cache->arith(0, "n", 1, 1, false, v);
+        }
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+    std::string torn;
+    char buf[16];
+    while (torn.empty() && std::chrono::steady_clock::now() < deadline) {
+        const auto r = cache->get(1, "n", 1, buf, sizeof(buf));
+        const std::string got(buf, r.status == OpStatus::Ok ? r.vlen : 0);
+        if (got != "99" && got != "100")
+            torn = got;
+    }
+    stop.store(true);
+    flipper.join();
+    EXPECT_TRUE(torn.empty())
+        << "get returned " << ::testing::PrintToString(torn)
+        << ", a value no incr or decr wrote";
 }
 
 TEST_P(ConcurrentBranchTest, SlabRebalanceUnderLoad)
