@@ -2,7 +2,7 @@
  * @file
  * tmlint fixture: rawLoadAcquire inside a checked atomic body. The
  * acquire-flavoured escape hatch exists for the runtime's own
- * fence-free validation idiom (tm/algo_ra.cc) and is waived there; in
+ * fence-free validation idiom (tm/algo_orec_common.h), waived there; in
  * application code it still bypasses versioning exactly like rawLoad,
  * so a speculative body using it must be flagged.
  */
