@@ -25,7 +25,7 @@ main(int argc, char **argv)
     tm::Runtime::get().configure(gccDefaultRuntime());
     mc::Settings settings;
     settings.maxBytes = 256 * 1024 * 1024;
-    auto cache = mc::makeCache("Baseline", settings, threads);
+    auto cache = mc::makeShardedCache("Baseline", settings, threads);
 
     workload::MemslapCfg w;
     w.concurrency = threads;

@@ -32,7 +32,7 @@ namespace tmemc::bench
 struct SeriesSpec
 {
     std::string label;        //!< Legend label ("IP-Callable", ...).
-    std::string cacheBranch;  //!< Branch name for makeCache().
+    std::string cacheBranch;  //!< Branch name for makeShardedCache().
     tm::RuntimeCfg runtime;   //!< TM runtime configuration.
 };
 

@@ -73,7 +73,7 @@ main(int argc, char **argv)
 
         mc::Settings settings;
         settings.maxBytes = 128 * 1024 * 1024;
-        auto cache = mc::makeCache(rung.branch, settings, threads);
+        auto cache = mc::makeShardedCache(rung.branch, settings, threads);
 
         workload::MemslapCfg w;
         w.concurrency = threads;
@@ -116,7 +116,7 @@ main(int argc, char **argv)
         tm::Runtime::get().resetStats();
         mc::Settings settings;
         settings.maxBytes = 128 * 1024 * 1024;
-        auto cache = mc::makeCache("IP-onCommit", settings, threads);
+        auto cache = mc::makeShardedCache("IP-onCommit", settings, threads);
         workload::MemslapCfg w;
         w.concurrency = threads;
         w.executeNumber = 10000;

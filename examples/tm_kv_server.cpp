@@ -40,7 +40,7 @@ main(int argc, char **argv)
 
     mc::Settings settings;
     settings.maxBytes = 64 * 1024 * 1024;
-    auto cache = mc::makeCache(branch, settings, workers);
+    auto cache = mc::makeShardedCache(branch, settings, workers);
     if (cache == nullptr) {
         std::fprintf(stderr, "unknown branch '%s'\n", branch.c_str());
         return 1;

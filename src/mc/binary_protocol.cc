@@ -111,18 +111,6 @@ statusFor(OpStatus st)
 
 } // namespace
 
-bool
-binIsQuietGet(const char *data, std::size_t len)
-{
-    if (len < 2)
-        return false;
-    const auto *p = reinterpret_cast<const std::uint8_t *>(data);
-    if (p[0] != static_cast<std::uint8_t>(BinMagic::Request))
-        return false;
-    return p[1] == static_cast<std::uint8_t>(BinOp::GetQ) ||
-           p[1] == static_cast<std::uint8_t>(BinOp::GetKQ);
-}
-
 void
 binEncodeHeader(const BinHeader &h, std::uint8_t *out)
 {
@@ -290,80 +278,26 @@ binaryExecute(CacheIface &cache, std::uint32_t worker,
     const auto op = static_cast<BinOp>(h.opcode);
 
     switch (op) {
+      case BinOp::Get:
+      case BinOp::GetK:
       case BinOp::GetQ:
       case BinOp::GetKQ: {
-        // A run of consecutive quiet-get frames executes as one batch:
-        // parse every complete quiet-get frame in the buffer, issue a
-        // single getMulti (one visit per touched shard), then emit hit
-        // frames only, in request order. Misses are silent per the
-        // quiet-op contract.
-        struct QGet
-        {
-            std::string key;
-            BinOp op;
-            std::uint32_t opaque;
-        };
-        std::vector<QGet> q;
-        q.push_back({key, op, h.opaque});
-        std::size_t pos = kBinHeaderSize + h.bodyLength;
-        while (pos + kBinHeaderSize <= request.size()) {
-            BinHeader nh;
-            if (!binDecodeHeader(reinterpret_cast<const std::uint8_t *>(
-                                     request.data() + pos),
-                                 nh) ||
-                nh.magic != static_cast<std::uint8_t>(BinMagic::Request))
-                break;
-            const auto nop = static_cast<BinOp>(nh.opcode);
-            if (nop != BinOp::GetQ && nop != BinOp::GetKQ)
-                break;
-            if (pos + kBinHeaderSize + nh.bodyLength > request.size() ||
-                static_cast<std::uint32_t>(nh.extrasLength) +
-                        nh.keyLength >
-                    nh.bodyLength)
-                break;
-            q.push_back({std::string(request.data() + pos +
-                                         kBinHeaderSize + nh.extrasLength,
-                                     nh.keyLength),
-                         nop, nh.opaque});
-            pos += kBinHeaderSize + nh.bodyLength;
-        }
-        const CopySpace space(q.size());
-        std::vector<CacheIface::MultiGetReq> reqs(q.size());
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            reqs[i].key = q[i].key.data();
-            reqs[i].nkey = q[i].key.size();
-            reqs[i].out = space.slot(i);
-            reqs[i].outCap = kMaxValueCopy;
-        }
-        cache.getMulti(worker, reqs.data(), reqs.size());
-        std::string out;
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            const auto &r = reqs[i].result;
-            if (r.status != OpStatus::Ok)
-                continue;
-            out += binResponseFrame(
-                q[i].op, BinStatus::Ok,
-                q[i].op == BinOp::GetKQ ? q[i].key : "", kGetFlags,
-                {space.slot(i), std::min(r.vlen, kMaxValueCopy)},
-                r.casId, q[i].opaque);
-        }
-        return out;
-      }
-
-      case BinOp::Get:
-      case BinOp::GetK: {
-        const CopySpace space(1);
-        const auto r = cache.get(worker, key.data(), key.size(),
-                                 space.slot(0), kMaxValueCopy);
+        // The quiet gets (GetQ/GetKQ) answer only on a hit: a miss
+        // writes nothing, which is how clients pipeline a multi-get.
+        const bool withKey = op == BinOp::GetK || op == BinOp::GetKQ;
+        char *const slot = valueCopySlot();
+        const auto r = cache.get(worker, key.data(), key.size(), slot,
+                                 kMaxValueCopy);
         if (r.status != OpStatus::Ok) {
+            if (op == BinOp::GetQ || op == BinOp::GetKQ)
+                return "";
             return binResponseFrame(op, BinStatus::KeyNotFound,
-                                    op == BinOp::GetK ? key : "", "", "",
-                                    0, h.opaque);
+                                    withKey ? key : "", "", "", 0,
+                                    h.opaque);
         }
         return binResponseFrame(
-            op, BinStatus::Ok, op == BinOp::GetK ? key : "", kGetFlags,
-            {space.slot(0), std::min(r.vlen, kMaxValueCopy)}, r.casId,
-            h.opaque);
+            op, BinStatus::Ok, withKey ? key : "", kGetFlags,
+            {slot, std::min(r.vlen, kMaxValueCopy)}, r.casId, h.opaque);
       }
 
       case BinOp::Set:

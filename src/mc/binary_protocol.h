@@ -136,22 +136,13 @@ std::size_t binParseResponse(const std::string &wire, BinResponse &out);
  *
  * Quiet gets (GetQ/GetKQ) answer only on a hit — a miss produces no
  * frame at all, which is how memcached clients implement pipelined
- * multi-get. When @p request holds a *run* of complete quiet-get
- * frames back to back (the connection layer concatenates consecutive
- * ones; see Conn::drainFrames), the whole run executes as one
- * CacheIface::getMulti call so a sharded cache visits each touched
- * shard once, and the reply contains the hit frames in request order.
+ * multi-get: each quiet frame is its own request, as in memcached.
  *
  * @return Empty string if the buffer does not contain a full frame
- *         (callers that only pass complete frames can treat an empty
- *         reply as "nothing to say", e.g. an all-miss quiet-get run).
+ *         or the request is a quiet-get miss (nothing to say).
  */
 std::string binaryExecute(CacheIface &cache, std::uint32_t worker,
                           const std::string &request);
-
-/** True when the bytes start with a binary GetQ/GetKQ request header
- *  (the frame need not be complete). */
-bool binIsQuietGet(const char *data, std::size_t len);
 
 /** Largest accepted binary request body (extras + key + value). */
 constexpr std::size_t kBinMaxBodyBytes = 8 * 1024 * 1024 + 1024;

@@ -1,18 +1,28 @@
 /**
  * @file
  * Branch registry: explicit instantiation of CacheCore for every
- * branch in the paper's ladder, plus the name-based factory.
+ * branch in the paper's ladder, the cache handle that routes keys
+ * across a branch's shards, and the name-based factory.
  *
  * This file is the reproduction's analogue of "expect to fork the
- * code" (Section 6): twelve clones of the same cache source, one per
+ * code" (Section 6): one clone of the same cache source per
  * synchronization discipline.
  */
 
 #include "mc/branch.h"
 
+#include <algorithm>
+#include <cstdio>
+
+#include "common/fault.h"
 #include "mc/cache_iface.h"
+#include "mc/hash.h"
+#include "mc/sharded_cache.h"
 #include "mc/sync_lock.h"
 #include "mc/sync_tm.h"
+#include "obs/hist.h"
+#include "obs/metrics.h"
+#include "obs/probe.h"
 
 namespace tmemc::mc
 {
@@ -65,14 +75,72 @@ runtimeCfgFor(const std::string &branch)
 namespace
 {
 
-/** Adapter from CacheCore<P> to the erased interface. */
+/**
+ * Records one HistKind::CacheOp sample covering the enclosing scope,
+ * when @p on. Only a handle with several shards times its operations:
+ * single-shard setups (the benches' default) read no clock per op.
+ */
+class OpTimer
+{
+  public:
+    explicit OpTimer(bool on) : t0_(on ? obs::nowNanos() : 0) {}
+    OpTimer(const OpTimer &) = delete;
+    OpTimer &operator=(const OpTimer &) = delete;
+    ~OpTimer()
+    {
+        if (t0_ != 0)
+            obs::hist(obs::HistKind::CacheOp).record(obs::nowNanos() - t0_);
+    }
+
+  private:
+    const std::uint64_t t0_;
+};
+
+void
+addGlobal(GlobalStats &into, const GlobalStats &from)
+{
+    into.currItems += from.currItems;
+    into.totalItems += from.totalItems;
+    into.currBytes += from.currBytes;
+    into.evictions += from.evictions;
+    into.expiredUnfetched += from.expiredUnfetched;
+    into.hashExpansions += from.hashExpansions;
+    into.slabPagesMoved += from.slabPagesMoved;
+    into.casBadval += from.casBadval;
+    into.memLimitNear |= from.memLimitNear;
+}
+
+/**
+ * The cache handle: N >= 1 CacheCore<P> shards behind the erased
+ * interface. Every per-key operation routes to exactly one shard;
+ * whole-cache operations (stats, flush, maintenance) fan out and
+ * aggregate.
+ */
 template <typename P>
 class CacheAdapter final : public CacheIface
 {
   public:
-    CacheAdapter(const Settings &settings, std::uint32_t threads)
-        : core_(settings, threads)
+    CacheAdapter(const Settings &settings, std::uint32_t threads,
+                 std::uint32_t shards)
     {
+        shards_.reserve(shards);
+        faultSites_.reserve(shards);
+        for (std::uint32_t s = 0; s < shards; ++s) {
+            Settings per = settings;
+            if (shards > 1) {
+                per.shardCount = shards;
+                per.shardId = s;
+                // Split the memory budget, but never below a handful
+                // of slab pages — a shard with one page per class
+                // cannot rebalance.
+                per.maxBytes = std::max(settings.maxBytes / shards,
+                                        settings.slabPageSize * 8);
+            }
+            shards_.push_back(std::make_unique<CacheCore<P>>(per, threads));
+            // Consulted per operation; built once so the armed path
+            // does no allocation.
+            faultSites_.push_back(shardFaultSite(s));
+        }
     }
 
     const char *branchName() const override
@@ -91,8 +159,8 @@ class CacheAdapter final : public CacheIface
     get(std::uint32_t tid, const char *key, std::size_t nkey, char *out,
         std::size_t out_cap) override
     {
-        const auto r = core_.get(tid, key, nkey, out, out_cap);
-        return {r.status, r.vlen, r.casId};
+        OpTimer timer(sharded());
+        return route(key, nkey).get(tid, key, nkey, out, out_cap);
     }
 
     OpStatus
@@ -101,14 +169,16 @@ class CacheAdapter final : public CacheIface
           std::uint64_t cas_expected, std::int64_t exptime,
           std::uint64_t *cas_out) override
     {
-        return core_.store(tid, key, nkey, val, nbytes, mode,
-                           cas_expected, exptime, cas_out);
+        OpTimer timer(sharded());
+        return route(key, nkey).store(tid, key, nkey, val, nbytes, mode,
+                                      cas_expected, exptime, cas_out);
     }
 
     OpStatus
     del(std::uint32_t tid, const char *key, std::size_t nkey) override
     {
-        return core_.del(tid, key, nkey);
+        OpTimer timer(sharded());
+        return route(key, nkey).del(tid, key, nkey);
     }
 
     OpStatus
@@ -116,7 +186,8 @@ class CacheAdapter final : public CacheIface
           std::uint64_t delta, bool incr,
           std::uint64_t &out_value) override
     {
-        const auto r = core_.arith(tid, key, nkey, delta, incr);
+        OpTimer timer(sharded());
+        const auto r = route(key, nkey).arith(tid, key, nkey, delta, incr);
         out_value = r.value;
         return r.status;
     }
@@ -125,121 +196,235 @@ class CacheAdapter final : public CacheIface
     touch(std::uint32_t tid, const char *key, std::size_t nkey,
           std::int64_t exptime) override
     {
-        return core_.touch(tid, key, nkey, exptime);
+        OpTimer timer(sharded());
+        return route(key, nkey).touch(tid, key, nkey, exptime);
     }
 
     OpStatus
     concat(std::uint32_t tid, const char *key, std::size_t nkey,
            const char *extra, std::size_t nextra, bool append) override
     {
-        return core_.concat(tid, key, nkey, extra, nextra, append);
+        OpTimer timer(sharded());
+        return route(key, nkey).concat(tid, key, nkey, extra, nextra,
+                                       append);
     }
 
     std::size_t
     statsText(std::uint32_t tid, char *out, std::size_t cap) override
     {
-        return core_.statsText(tid, out, cap);
+        // One shard renders its own reply inside a transaction (the
+        // mc:stats-render site, the Lib stage's snprintf).
+        if (!sharded())
+            return shards_[0]->statsText(tid, out, cap);
+        // Several shards: re-render the aggregate from structured
+        // snapshots, so consumers of the unsharded keys (curr_items,
+        // get_hits, ...) keep seeing one row each, then append
+        // shard_count and per-shard rows.
+        GlobalStats g;
+        ThreadStatsBlock t;
+        std::vector<GlobalStats> perShard;
+        std::vector<ThreadStatsBlock> perThread;
+        for (auto &s : shards_) {
+            perShard.push_back(s->globalStatsSnapshot());
+            perThread.push_back(s->aggregateThreadStats());
+            addGlobal(g, perShard.back());
+            t.add(perThread.back());
+        }
+        std::size_t pos = 0;
+        auto emit = [&](const char *name, std::uint64_t v) {
+            if (pos >= cap)
+                return;
+            const int n = std::snprintf(out + pos, cap - pos,
+                                        "STAT %s %llu\r\n", name,
+                                        static_cast<unsigned long long>(v));
+            if (n > 0)
+                pos += static_cast<std::size_t>(n);
+        };
+        emit("curr_items", g.currItems);
+        emit("total_items", g.totalItems);
+        emit("bytes", g.currBytes);
+        emit("evictions", g.evictions);
+        emit("hash_expansions", g.hashExpansions);
+        emit("slab_pages_moved", g.slabPagesMoved);
+        emit("cas_badval", g.casBadval);
+        emit("cmd_get", t.cmdGet);
+        emit("cmd_set", t.cmdSet);
+        emit("get_hits", t.getHits);
+        emit("get_misses", t.getMisses);
+        emit("shard_count", shards_.size());
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+            char name[64];
+            std::snprintf(name, sizeof name, "shard%zu_get_hits", s);
+            emit(name, perThread[s].getHits);
+            std::snprintf(name, sizeof name, "shard%zu_get_misses", s);
+            emit(name, perThread[s].getMisses);
+            std::snprintf(name, sizeof name, "shard%zu_evictions", s);
+            emit(name, perShard[s].evictions);
+            std::snprintf(name, sizeof name, "shard%zu_curr_items", s);
+            emit(name, perShard[s].currItems);
+        }
+        return pos;
     }
 
-    void flushAll(std::uint32_t tid) override { core_.flushAll(tid); }
-
-    GlobalStats globalStats() override
+    void
+    flushAll(std::uint32_t tid) override
     {
-        return core_.globalStatsSnapshot();
+        for (auto &s : shards_)
+            s->flushAll(tid);
     }
 
-    ThreadStatsBlock threadStats() override
+    GlobalStats
+    globalStats() override
     {
-        return core_.aggregateThreadStats();
+        GlobalStats g = shards_[0]->globalStatsSnapshot();
+        for (std::size_t s = 1; s < shards_.size(); ++s)
+            addGlobal(g, shards_[s]->globalStatsSnapshot());
+        return g;
     }
 
-    std::vector<LockProfileRow> lockProfile() const override
+    ThreadStatsBlock
+    threadStats() override
     {
-        return core_.lockProfile();
+        ThreadStatsBlock t = shards_[0]->aggregateThreadStats();
+        for (std::size_t s = 1; s < shards_.size(); ++s)
+            t.add(shards_[s]->aggregateThreadStats());
+        return t;
     }
 
-    std::uint64_t linkedItemCount() override
+    std::vector<LockProfileRow>
+    lockProfile() const override
     {
-        return core_.linkedItemCount();
+        if (!sharded())
+            return shards_[0]->lockProfile();
+        std::vector<LockProfileRow> rows;
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+            for (LockProfileRow row : shards_[s]->lockProfile()) {
+                row.name = "shard" + std::to_string(s) + ":" + row.name;
+                rows.push_back(std::move(row));
+            }
+        }
+        return rows;
     }
 
-    std::uint32_t hashPowerNow() override { return core_.hashPowerNow(); }
+    std::uint64_t
+    linkedItemCount() override
+    {
+        std::uint64_t n = 0;
+        for (auto &s : shards_)
+            n += s->linkedItemCount();
+        return n;
+    }
 
-    void quiesceMaintenance() override { core_.quiesceMaintenance(); }
+    std::uint32_t
+    hashPowerNow() override
+    {
+        // The largest table across shards (the one that
+        // expansion-related tests watch grow).
+        std::uint32_t p = 0;
+        for (auto &s : shards_)
+            p = std::max(p, s->hashPowerNow());
+        return p;
+    }
+
+    void
+    quiesceMaintenance() override
+    {
+        for (auto &s : shards_)
+            s->quiesceMaintenance();
+    }
 
     void
     requestRebalance(std::uint32_t src_cls, std::uint32_t dst_cls) override
     {
-        core_.requestRebalance(src_cls, dst_cls);
+        for (auto &s : shards_)
+            s->requestRebalance(src_cls, dst_cls);
+    }
+
+    std::uint32_t
+    shardCount() const override
+    {
+        return static_cast<std::uint32_t>(shards_.size());
+    }
+
+    std::uint32_t
+    shardOf(const char *key, std::size_t nkey) const override
+    {
+        return sharded() ? shardOfHash(hashKey(key, nkey), shardCount())
+                         : 0;
     }
 
   private:
-    CacheCore<P> core_;
+    bool sharded() const { return shards_.size() > 1; }
+
+    /**
+     * The one per-operation entry: picks the key's shard, stamps it
+     * into the thread's probe stream and consults its fault site.
+     * Both are one relaxed load when nothing is armed. A delayUs
+     * policy stalls here — before the shard's transaction begins,
+     * the only place a traced request may block (fault::maybeDelay
+     * must never run inside a transaction).
+     */
+    CacheCore<P> &
+    route(const char *key, std::size_t nkey)
+    {
+        const std::uint32_t s = shardOf(key, nkey);
+        obs::probe::emit(obs::probe::Event::Shard, nullptr, s);
+        if (fault::enabled())
+            fault::maybeDelay(fault::consultSlow(faultSites_[s].c_str()));
+        return *shards_[s];
+    }
+
+    std::vector<std::unique_ptr<CacheCore<P>>> shards_;
+    /** faultSites_[s] == shardFaultSite(s), prebuilt. */
+    std::vector<std::string> faultSites_;
+};
+
+template <typename P>
+std::unique_ptr<CacheIface>
+make(const Settings &settings, std::uint32_t threads, std::uint32_t shards)
+{
+    return std::make_unique<CacheAdapter<P>>(settings, threads, shards);
+}
+
+/** Every instantiable branch (allBranchNames() plus the ablation-only
+ *  IP-Lib-Bare) with its factory. */
+struct BranchEntry
+{
+    const char *name;
+    std::unique_ptr<CacheIface> (*make)(const Settings &, std::uint32_t,
+                                        std::uint32_t);
+};
+
+constexpr BranchEntry kBranches[] = {
+    {"Baseline", make<LockPolicy<kBaseline>>},
+    {"Semaphore", make<LockPolicy<kSemaphore>>},
+    {"IP", make<TmPolicy<kIP>>},
+    {"IT", make<TmPolicy<kIT>>},
+    {"IP-Callable", make<TmPolicy<kIPCallable>>},
+    {"IT-Callable", make<TmPolicy<kITCallable>>},
+    {"IP-Max", make<TmPolicy<kIPMax>>},
+    {"IT-Max", make<TmPolicy<kITMax>>},
+    {"IP-Lib", make<TmPolicy<kIPLib>>},
+    {"IT-Lib", make<TmPolicy<kITLib>>},
+    {"IP-onCommit", make<TmPolicy<kIPOnCommit>>},
+    {"IT-onCommit", make<TmPolicy<kITOnCommit>>},
+    {"IT-Fused", make<TmPolicy<kITFused>>},
+    {"IT-RA", make<TmPolicy<kITRA>>},
+    {"IP-Lib-Bare", make<TmPolicy<kIPLibBare>>},
 };
 
 } // namespace
 
 std::unique_ptr<CacheIface>
-makeCache(const std::string &branch, const Settings &settings,
-          std::uint32_t worker_threads)
+makeShardedCache(const std::string &branch, const Settings &settings,
+                 std::uint32_t worker_threads, std::uint32_t shards)
 {
+    if (shards == 0)
+        return nullptr;
     const std::uint32_t t = worker_threads == 0 ? 1 : worker_threads;
-
-    if (branch == "Baseline") {
-        return std::make_unique<CacheAdapter<LockPolicy<kBaseline>>>(
-            settings, t);
-    }
-    if (branch == "Semaphore") {
-        return std::make_unique<CacheAdapter<LockPolicy<kSemaphore>>>(
-            settings, t);
-    }
-    if (branch == "IP")
-        return std::make_unique<CacheAdapter<TmPolicy<kIP>>>(settings, t);
-    if (branch == "IT")
-        return std::make_unique<CacheAdapter<TmPolicy<kIT>>>(settings, t);
-    if (branch == "IP-Callable") {
-        return std::make_unique<CacheAdapter<TmPolicy<kIPCallable>>>(
-            settings, t);
-    }
-    if (branch == "IT-Callable") {
-        return std::make_unique<CacheAdapter<TmPolicy<kITCallable>>>(
-            settings, t);
-    }
-    if (branch == "IP-Max") {
-        return std::make_unique<CacheAdapter<TmPolicy<kIPMax>>>(settings,
-                                                                t);
-    }
-    if (branch == "IT-Max") {
-        return std::make_unique<CacheAdapter<TmPolicy<kITMax>>>(settings,
-                                                                t);
-    }
-    if (branch == "IP-Lib") {
-        return std::make_unique<CacheAdapter<TmPolicy<kIPLib>>>(settings,
-                                                                t);
-    }
-    if (branch == "IT-Lib") {
-        return std::make_unique<CacheAdapter<TmPolicy<kITLib>>>(settings,
-                                                                t);
-    }
-    if (branch == "IP-onCommit") {
-        return std::make_unique<CacheAdapter<TmPolicy<kIPOnCommit>>>(
-            settings, t);
-    }
-    if (branch == "IT-onCommit") {
-        return std::make_unique<CacheAdapter<TmPolicy<kITOnCommit>>>(
-            settings, t);
-    }
-    if (branch == "IT-Fused") {
-        return std::make_unique<CacheAdapter<TmPolicy<kITFused>>>(
-            settings, t);
-    }
-    if (branch == "IT-RA") {
-        return std::make_unique<CacheAdapter<TmPolicy<kITRA>>>(
-            settings, t);
-    }
-    if (branch == "IP-Lib-Bare") {
-        return std::make_unique<CacheAdapter<TmPolicy<kIPLibBare>>>(
-            settings, t);
+    for (const BranchEntry &e : kBranches) {
+        if (branch == e.name)
+            return e.make(settings, t, shards);
     }
     return nullptr;
 }

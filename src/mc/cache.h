@@ -135,6 +135,14 @@ enum class OpStatus : std::uint8_t
     BadValue,  //!< Non-numeric value for incr/decr.
 };
 
+/** Outcome of a GET: status and, on a hit, value length and CAS id. */
+struct GetResult
+{
+    OpStatus status = OpStatus::Miss;
+    std::size_t vlen = 0;
+    std::uint64_t casId = 0;
+};
+
 /** The cache, parameterized by a synchronization policy. */
 template <typename P>
 class CacheCore
@@ -178,13 +186,6 @@ class CacheCore
      * GET: copy the value for @p key into @p out.
      * @return status and (on hit) the value length and CAS id.
      */
-    struct GetResult
-    {
-        OpStatus status = OpStatus::Miss;
-        std::size_t vlen = 0;
-        std::uint64_t casId = 0;
-    };
-
     GetResult
     get(std::uint32_t tid, const char *key, std::size_t nkey, char *out,
         std::size_t out_cap)

@@ -2,8 +2,9 @@
  * @file
  * Runtime-dispatch facade over the branch instantiations of
  * CacheCore<Policy>, so benchmarks and examples can select a branch by
- * name ("Baseline", "IP-Callable", "IT-onCommit", ...) without
- * compile-time knowledge of the policy types.
+ * name ("Baseline", "IP-Callable", "IT-onCommit", ...) and a shard
+ * count without compile-time knowledge of the policy types. Its one
+ * implementation is the per-branch adapter in branch.cc.
  */
 
 #ifndef TMEMC_MC_CACHE_IFACE_H
@@ -32,40 +33,12 @@ class CacheIface
     virtual const char *branchName() const = 0;
     virtual const BranchCfg &branchCfg() const = 0;
 
-    struct GetResult
-    {
-        OpStatus status = OpStatus::Miss;
-        std::size_t vlen = 0;
-        std::uint64_t casId = 0;
-    };
+    /** The GET outcome; the same type as mc::GetResult. */
+    using GetResult = mc::GetResult;
 
     virtual GetResult get(std::uint32_t tid, const char *key,
                           std::size_t nkey, char *out,
                           std::size_t out_cap) = 0;
-
-    /** One key of a batched multi-get. */
-    struct MultiGetReq
-    {
-        const char *key = nullptr;
-        std::size_t nkey = 0;
-        char *out = nullptr;
-        std::size_t outCap = 0;
-        GetResult result;
-    };
-
-    /**
-     * Batched lookup: fill result for every request. The sharded cache
-     * overrides this to visit each touched shard exactly once; the
-     * default is a plain per-key loop.
-     */
-    virtual void
-    getMulti(std::uint32_t tid, MultiGetReq *reqs, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i) {
-            reqs[i].result = get(tid, reqs[i].key, reqs[i].nkey,
-                                 reqs[i].out, reqs[i].outCap);
-        }
-    }
 
     /**
      * SET/ADD/REPLACE/CAS with expiry @p exptime (0 = never). On Ok the
@@ -103,39 +76,28 @@ class CacheIface
     virtual void requestRebalance(std::uint32_t src_cls,
                                   std::uint32_t dst_cls) = 0;
 
-    /** Number of independent shards behind this handle (1 = unsharded). */
-    virtual std::uint32_t shardCount() const { return 1; }
-    /** Which shard a key maps to (always 0 when unsharded). */
-    virtual std::uint32_t shardOf(const char *key, std::size_t nkey) const
-    {
-        (void)key;
-        (void)nkey;
-        return 0;
-    }
+    /** Number of independent shards behind this handle. */
+    virtual std::uint32_t shardCount() const = 0;
+    /** Which shard a key maps to (always 0 with one shard). */
+    virtual std::uint32_t shardOf(const char *key,
+                                  std::size_t nkey) const = 0;
 };
 
 /**
- * Instantiate the cache for a named branch.
+ * Instantiate a cache for a named branch, partitioned into @p shards
+ * independent CacheCore instances, each with its own synchronization
+ * domain (lock set or TM context / orec stripe). Keys are routed by
+ * the hash.h digest (sharded_cache.h).
  * @param branch  One of the names from allBranchNames().
- * @param settings Cache tunables.
+ * @param settings Cache tunables; with several shards each gets an
+ *                 equal part of maxBytes.
  * @param worker_threads Number of client threads that will drive it.
- * @return nullptr if the branch name is unknown.
- */
-std::unique_ptr<CacheIface> makeCache(const std::string &branch,
-                                      const Settings &settings,
-                                      std::uint32_t worker_threads);
-
-/**
- * Instantiate a cache partitioned into @p shards independent instances
- * of @p branch, each with its own synchronization domain (lock set or
- * TM context / orec stripe). Keys are routed by the hash.h digest.
- * With shards == 1 this is equivalent to makeCache().
  * @return nullptr if the branch name is unknown or shards == 0.
  */
 std::unique_ptr<CacheIface> makeShardedCache(const std::string &branch,
                                              const Settings &settings,
                                              std::uint32_t worker_threads,
-                                             std::uint32_t shards);
+                                             std::uint32_t shards = 1);
 
 } // namespace tmemc::mc
 

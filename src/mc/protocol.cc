@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -69,16 +70,12 @@ storeReply(OpStatus st)
 
 } // namespace
 
-CopySpace::CopySpace(std::size_t nkeys)
+char *
+valueCopySlot()
 {
-    if (nkeys > 1) {
-        own_ = std::make_unique_for_overwrite<char[]>(nkeys * kMaxValueCopy);
-        base_ = own_.get();
-        return;
-    }
-    thread_local const std::unique_ptr<char[]> retained =
+    thread_local const std::unique_ptr<char[]> slot =
         std::make_unique_for_overwrite<char[]>(kMaxValueCopy);
-    base_ = retained.get();
+    return slot.get();
 }
 
 FrameResult
@@ -180,21 +177,14 @@ protocolExecute(CacheIface &cache, std::uint32_t worker,
     if (cmd == "get" || cmd == "gets") {
         if (tok.size() < 2)
             return "ERROR\r\n";
-        // Multi-key get: one batched lookup so a sharded cache visits
-        // each touched shard once, not once per key.
-        const std::size_t nkeys = tok.size() - 1;
-        const CopySpace space(nkeys);
-        std::vector<CacheIface::MultiGetReq> reqs(nkeys);
-        for (std::size_t i = 0; i < nkeys; ++i) {
-            reqs[i].key = tok[i + 1].data();
-            reqs[i].nkey = tok[i + 1].size();
-            reqs[i].out = space.slot(i);
-            reqs[i].outCap = kMaxValueCopy;
-        }
-        cache.getMulti(worker, reqs.data(), reqs.size());
+        // One lookup per key, as memcached's process_get_command
+        // runs one item_get per key; hits reply in request order.
+        char *const slot = valueCopySlot();
         std::string reply;
-        for (std::size_t i = 0; i < nkeys; ++i) {
-            const auto &r = reqs[i].result;
+        for (std::size_t i = 1; i < tok.size(); ++i) {
+            const std::string &key = tok[i];
+            const GetResult r = cache.get(worker, key.data(), key.size(),
+                                          slot, kMaxValueCopy);
             if (r.status != OpStatus::Ok)
                 continue;
             char header[256];
@@ -202,15 +192,15 @@ protocolExecute(CacheIface &cache, std::uint32_t worker,
             if (cmd == "gets") {
                 n = std::snprintf(
                     header, sizeof(header), "VALUE %s 0 %zu %llu\r\n",
-                    tok[i + 1].c_str(), r.vlen,
+                    key.c_str(), r.vlen,
                     static_cast<unsigned long long>(r.casId));
             } else {
                 n = std::snprintf(header, sizeof(header),
-                                  "VALUE %s 0 %zu\r\n", tok[i + 1].c_str(),
+                                  "VALUE %s 0 %zu\r\n", key.c_str(),
                                   r.vlen);
             }
             reply.append(header, static_cast<std::size_t>(n));
-            reply.append(space.slot(i), std::min(r.vlen, kMaxValueCopy));
+            reply.append(slot, std::min(r.vlen, kMaxValueCopy));
             reply.append("\r\n");
         }
         reply.append("END\r\n");

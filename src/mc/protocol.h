@@ -5,7 +5,7 @@
  *
  * Supports the commands the study's workloads and examples exercise:
  *
- *   get <key>\r\n
+ *   get|gets <key>*\r\n
  *   set|add|replace <key> <flags> <exptime> <bytes>\r\n<data>\r\n
  *   cas <key> <flags> <exptime> <bytes> <casid>\r\n<data>\r\n
  *   delete <key>\r\n
@@ -23,7 +23,6 @@
 #ifndef TMEMC_MC_PROTOCOL_H
 #define TMEMC_MC_PROTOCOL_H
 
-#include <memory>
 #include <string>
 
 #include "mc/cache_iface.h"
@@ -48,25 +47,13 @@ std::string protocolExecute(CacheIface &cache, std::uint32_t worker,
 constexpr std::size_t kMaxValueCopy = 65536;
 
 /**
- * Uninitialised space to copy the values of a run of @p nkeys GETs
- * into: slot(i), kMaxValueCopy bytes, is key i's. A single-key GET
- * uses one per-thread slot, allocated once and reused by every later
- * request on that thread. A run of several keys gets a block of its
- * own, freed with this object. The space is never zero-filled: a GET
- * writes the bytes it reports, and a reply carries only those.
- * Valid until the next single-key CopySpace on the same thread.
+ * Uninitialised space, kMaxValueCopy bytes, to copy one GET's value
+ * into: one slot per thread, allocated on its first GET and reused by
+ * every later one (a multi-key GET copies each key's value in turn).
+ * The slot is never zero-filled: a GET writes the bytes it reports,
+ * and a reply carries only those. Valid until the thread's next GET.
  */
-class CopySpace
-{
-  public:
-    explicit CopySpace(std::size_t nkeys);
-
-    char *slot(std::size_t i) const { return base_ + i * kMaxValueCopy; }
-
-  private:
-    std::unique_ptr<char[]> own_;
-    char *base_ = nullptr;
-};
+char *valueCopySlot();
 
 // ----------------------------------------------------------------------
 // Streaming framing

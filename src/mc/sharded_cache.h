@@ -1,17 +1,18 @@
 /**
  * @file
- * Key-to-shard routing for the sharded cache.
+ * Key-to-shard routing for the cache handle.
  *
- * A sharded cache partitions the key space across N independent
+ * A cache handle partitions the key space across N >= 1 independent
  * CacheCore instances by the hash.h digest. Each shard owns a full
  * private synchronization domain — its own pthread locks in the
  * lock-based branches, its own TM domain (commit clock, serial lock,
  * orec stripe) in the TM branches — so operations on different shards
  * never conflict or serialize each other.
  *
- * The factory lives in cache_iface.h (makeShardedCache); this header
- * only exposes the routing function so the protocol layer, tests, and
- * benchmarks can predict shard placement.
+ * The factory lives in cache_iface.h (makeShardedCache) and the
+ * handle in branch.cc; this header only exposes the routing function
+ * and the per-shard fault site so the server, tests, and benchmarks
+ * can predict shard placement.
  */
 
 #ifndef TMEMC_MC_SHARDED_CACHE_H
@@ -44,10 +45,9 @@ shardOfHash(std::uint32_t hv, std::uint32_t shards)
  * Fault-injection site name consulted before every operation enters
  * shard @p shard ("mc.shard<N>.op"). Arming it with a delayUs policy
  * makes that shard slow — the injected-slow-shard schedule the tail
- * tracer's soak and round-trip tests blame. The consult happens in
- * the sharded wrapper, outside any transaction, so the delay may
- * block (see fault::maybeDelay); a single-shard cache (no wrapper)
- * never consults it.
+ * tracer's soak and round-trip tests blame. The handle consults it
+ * when it routes an operation, at every shard count, outside any
+ * transaction, so the delay may block (see fault::maybeDelay).
  */
 inline std::string
 shardFaultSite(std::uint32_t shard)

@@ -6,7 +6,7 @@
  *
  *   - a consistent-hash ring: each node contributes virtualNodes
  *     points (hash of "host:port#v" with the same multiplicative
- *     key hash the ShardedCache uses, mc/hash.h), keys route to the
+ *     key hash a sharded cache handle uses, mc/hash.h), keys route to the
  *     first point clockwise, replicas to the next distinct nodes;
  *   - per-node connection pools layered on net::Client, relying on
  *     its close-on-error + ensureConnected() contract to survive

@@ -195,37 +195,6 @@ Conn::drainFrames(std::uint32_t worker, const ExecFn &exec)
 {
     std::size_t off = 0;
     bool ok = true;
-    // Consecutive binary quiet-get frames (GetQ/GetKQ) are collected
-    // and handed to exec() as one concatenated request: binaryExecute
-    // turns the run into a single getMulti, so a sharded cache visits
-    // each touched shard once instead of once per key.
-    std::string quietRun;
-    std::uint64_t quietFrames = 0;
-    std::uint64_t quietT0 = 0;
-    // Per-command latency: framed request handed to exec() until its
-    // reply is in the write buffer. A batched quiet-get run counts as
-    // one command — that is the unit of work the executor sees. The
-    // same unit is one tail-tracer request: its chain starts with a
-    // parse span back-dated to @p parse_t0 (the stamp taken before
-    // framing) and stays pending until the reply's last byte leaves
-    // the write buffer (finishTailPending closes the flush span).
-    auto timedExec = [&](bool binary, const std::string &frame,
-                         std::uint64_t parse_t0) {
-        const obs::probe::Request req =
-            obs::probe::requestBegin(worker, binary, parse_t0);
-        exec(worker, binary, frame, wbuf_);
-        if (obs::tail::PendingTrace p = obs::probe::requestEnd(req))
-            tailPending_.push_back(std::move(p));
-    };
-    auto flushQuietRun = [&]() {
-        if (quietFrames == 0)
-            return;
-        timedExec(true, quietRun, quietT0);
-        served_ += quietFrames;
-        quietRun.clear();
-        quietFrames = 0;
-        quietT0 = 0;
-    };
     while (off < rbuf_.size()) {
         // Soft-cap check inside the burst too: a pipelined batch
         // stops executing once replies back up, leaving the rest of
@@ -258,31 +227,26 @@ Conn::drainFrames(std::uint32_t worker, const ExecFn &exec)
             break;
         }
         const std::string frame = rbuf_.substr(off, fr.frameLen);
-        if (binary && mc::binIsQuietGet(frame.data(), frame.size())) {
-            if (quietFrames == 0)
-                quietT0 = parse_t0;
-            quietRun += frame;
-            ++quietFrames;
-            off += fr.frameLen;
-            continue;
-        }
-        // Any non-quiet frame terminates the run; its reply must
-        // follow the run's hit replies, so flush the batch first.
-        flushQuietRun();
         if (!binary && (frame == "quit\r\n" || frame == "quit\n")) {
             // memcached's quit: close without a reply.
             off += fr.frameLen;
             ok = false;
             break;
         }
-        timedExec(binary, frame, parse_t0);
+        // Per-command latency: framed request handed to exec() until
+        // its reply is in the write buffer. The same unit is one
+        // tail-tracer request: its chain starts with a parse span
+        // back-dated to parse_t0 and stays pending until the reply's
+        // last byte leaves the write buffer (finishTailPending closes
+        // the flush span).
+        const obs::probe::Request req =
+            obs::probe::requestBegin(worker, binary, parse_t0);
+        exec(worker, binary, frame, wbuf_);
+        if (obs::tail::PendingTrace p = obs::probe::requestEnd(req))
+            tailPending_.push_back(std::move(p));
         ++served_;
         off += fr.frameLen;
     }
-    // Runs also end at the buffer edge (NeedMore / soft cap / error):
-    // quiet gets never wait for a terminator, they are batched only
-    // opportunistically within one drain pass.
-    flushQuietRun();
     if (off == rbuf_.size())
         rbuf_.clear();
     else if (off > 0)

@@ -11,9 +11,10 @@
  * them, and appends their replies to the write buffer; onWritable()
  * flushes it.
  *
- * The executor appends each reply straight onto the write buffer, and
- * flush() hands the unwritten tail to write(2) until the kernel stops
- * taking bytes. A flushed-offset index marks how much has left; once
+ * The executor appends each reply to the write buffer (the server's
+ * builds the reply as a string first, then appends it), and flush()
+ * hands the unwritten tail to write(2) until the kernel stops taking
+ * bytes. A flushed-offset index marks how much has left; once
  * everything has, the buffer is reset.
  *
  * Protocol selection follows memcached's sniffing rule: a frame whose

@@ -27,7 +27,7 @@
  * registry snapshot as one JSON line followed by END.
  *
  * The server borrows the cache — benchmarks build a cache for a
- * specific branch (makeCache) and inspect its statistics after the
+ * specific branch (makeShardedCache) and inspect its statistics after the
  * run. The cache must have been built for at least `workers` worker
  * threads, because loop i issues cache calls with tid i.
  */

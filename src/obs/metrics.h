@@ -12,7 +12,7 @@
  * a closure returning name/value pairs — rather than this registry
  * knowing their types. Histograms are the opposite: a fixed, enum-
  * indexed set owned here, so the hot paths that record into them
- * (net/conn.cc per command, mc/sharded_cache.cc per cache op,
+ * (net/conn.cc per command, mc/branch.cc per cache op,
  * tm/runtime.cc per transaction) reach them with one array index and
  * no hashing.
  */
@@ -36,7 +36,9 @@ namespace tmemc::obs
 enum class HistKind : unsigned
 {
     Command,     //!< One wire request, framed to reply (net/conn.cc).
-    CacheOp,     //!< One cache operation (mc/sharded_cache.cc).
+    CacheOp,     //!< One cache operation on a handle of >= 2 shards
+                 //!< (mc/branch.cc); single-shard handles read no
+                 //!< clock per op.
     Tx,          //!< One top-level transaction, begin to commit.
     TxSerial,    //!< Serial-mode portion of serialized transactions.
     TxAttempts,  //!< Attempts per committed transaction. Recorded as

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "mc/binary_protocol.h"
 #include "mc/cache_iface.h"
@@ -19,7 +22,9 @@ namespace
 using namespace tmemc;
 using namespace tmemc::mc;
 
-class BinaryProtocolTest : public ::testing::TestWithParam<std::string>
+/** Parameter: branch name and shard count. */
+class BinaryProtocolTest
+    : public ::testing::TestWithParam<std::tuple<const char *, std::uint32_t>>
 {
   protected:
     void
@@ -28,7 +33,8 @@ class BinaryProtocolTest : public ::testing::TestWithParam<std::string>
         tm::Runtime::get().configure(tm::RuntimeCfg{});
         Settings s;
         s.maxBytes = 8 * 1024 * 1024;
-        cache_ = makeCache(GetParam(), s, 2);
+        cache_ = makeShardedCache(std::get<0>(GetParam()), s, 2,
+                                  std::get<1>(GetParam()));
         ASSERT_NE(cache_, nullptr);
     }
 
@@ -197,11 +203,11 @@ missFrame(BinOp op)
     return out;
 }
 
-TEST_P(BinaryProtocolTest, ReusedCopySpaceLeavesNoStaleBytes)
+TEST_P(BinaryProtocolTest, ReusedCopySlotLeavesNoStaleBytes)
 {
     // One thread reads a value of nearly 16 KiB, then a 3-byte one,
     // then a miss: each reply must be exact, with nothing left over
-    // from the larger value in the reused copy space.
+    // from the larger value in the reused copy slot.
     const std::string big(16000, 'B');
     const auto sb = exec(binSetRequest("big", big));
     const auto ss = exec(binSetRequest("small", "abc"));
@@ -218,17 +224,12 @@ TEST_P(BinaryProtocolTest, ReusedCopySpaceLeavesNoStaleBytes)
     EXPECT_EQ(run(binRequest(BinOp::Get, "absent")),
               missFrame(BinOp::Get));
 
-    // Quiet-get runs, one key each, then all three in one run.
+    // Quiet gets, one frame each: big, small, then a silent miss.
     EXPECT_EQ(run(binRequest(BinOp::GetQ, "big", "", "", 0, 1)),
               hitFrame(BinOp::GetQ, "", big, sb.cas, 1));
     EXPECT_EQ(run(binRequest(BinOp::GetKQ, "small", "", "", 0, 2)),
               hitFrame(BinOp::GetKQ, "small", "abc", ss.cas, 2));
     EXPECT_EQ(run(binRequest(BinOp::GetQ, "absent", "", "", 0, 3)), "");
-    EXPECT_EQ(run(binRequest(BinOp::GetQ, "big", "", "", 0, 4) +
-                  binRequest(BinOp::GetQ, "small", "", "", 0, 5) +
-                  binRequest(BinOp::GetQ, "absent", "", "", 0, 6)),
-              hitFrame(BinOp::GetQ, "", big, sb.cas, 4) +
-                  hitFrame(BinOp::GetQ, "", "abc", ss.cas, 5));
 
     // ASCII get and multi-get on the same thread.
     const std::string big_reply = "VALUE big 0 16000\r\n" + big + "\r\n";
@@ -247,20 +248,24 @@ TEST_P(BinaryProtocolTest, ReusedCopySpaceLeavesNoStaleBytes)
 
 TEST_P(BinaryProtocolTest, LongQuietGetRunAnswersEveryHit)
 {
-    // A long multi-key run gets copy space of its own.
-    std::string run;
+    // Forty quiet gets of growing values, one binaryExecute each,
+    // all copied through the thread's one reused copy slot.
+    std::vector<std::string> frames;
     std::string expect;
     for (int i = 0; i < 40; ++i) {
         const std::string k = "lq" + std::to_string(i);
         const std::string v(static_cast<std::size_t>(i * 97), 'a' + i % 26);
         const auto set = exec(binSetRequest(k, v));
         ASSERT_EQ(set.status, BinStatus::Ok);
-        run += binRequest(BinOp::GetKQ, k, "", "", 0,
-                          static_cast<std::uint32_t>(i));
+        frames.push_back(binRequest(BinOp::GetKQ, k, "", "", 0,
+                                    static_cast<std::uint32_t>(i)));
         expect += hitFrame(BinOp::GetKQ, k, v, set.cas,
                            static_cast<std::uint32_t>(i));
     }
-    EXPECT_EQ(binaryExecute(*cache_, 0, run), expect);
+    std::string got;
+    for (const std::string &f : frames)
+        got += binaryExecute(*cache_, 0, f);
+    EXPECT_EQ(got, expect);
 }
 
 TEST_P(BinaryProtocolTest, DeleteAndNoop)
@@ -328,16 +333,16 @@ TEST_P(BinaryProtocolTest, QuietGetRunAnswersHitsOnly)
     exec(binSetRequest("q1", "alpha"));
     exec(binSetRequest("q3", "gamma"));
 
-    // A memslap-style pipeline: GetQ hit, GetKQ miss, GetKQ hit. The
-    // whole run executes as one multi-get; only the hits answer, in
-    // request order, each under its own opaque.
-    std::string run;
-    run += binRequest(BinOp::GetQ, "q1", "", "", 0, 11);
-    run += binRequest(BinOp::GetKQ, "q2", "", "", 0, 22);
-    run += binRequest(BinOp::GetKQ, "q3", "", "", 0, 33);
-    ASSERT_TRUE(binIsQuietGet(run.data(), run.size()));
-
-    const std::string wire = binaryExecute(*cache_, 0, run);
+    // A pipelined multi-get: GetQ hit, GetKQ miss, GetKQ hit, one
+    // binaryExecute per frame as the connection runs them. Only the
+    // hits answer, in request order, each under its own opaque.
+    const std::string wire =
+        binaryExecute(*cache_, 0, binRequest(BinOp::GetQ, "q1", "", "", 0,
+                                             11)) +
+        binaryExecute(*cache_, 0, binRequest(BinOp::GetKQ, "q2", "", "",
+                                             0, 22)) +
+        binaryExecute(*cache_, 0, binRequest(BinOp::GetKQ, "q3", "", "",
+                                             0, 33));
     BinResponse first;
     const std::size_t used = binParseResponse(wire, first);
     ASSERT_GT(used, 0u);
@@ -360,14 +365,51 @@ TEST_P(BinaryProtocolTest, QuietGetRunAnswersHitsOnly)
 
 TEST_P(BinaryProtocolTest, QuietGetAllMissesSaysNothing)
 {
-    std::string run;
-    run += binRequest(BinOp::GetQ, "ghost1");
-    run += binRequest(BinOp::GetKQ, "ghost2");
-    EXPECT_EQ(binaryExecute(*cache_, 0, run), "");
+    EXPECT_EQ(binaryExecute(*cache_, 0, binRequest(BinOp::GetQ, "ghost1")),
+              "");
+    EXPECT_EQ(
+        binaryExecute(*cache_, 0, binRequest(BinOp::GetKQ, "ghost2")), "");
+    // The loud opcodes answer a miss.
+    EXPECT_EQ(binaryExecute(*cache_, 0, binRequest(BinOp::Get, "ghost1")),
+              missFrame(BinOp::Get));
+}
 
-    // A loud opcode is not a quiet get.
-    const std::string loud = binRequest(BinOp::Get, "ghost1");
-    EXPECT_FALSE(binIsQuietGet(loud.data(), loud.size()));
+TEST_P(BinaryProtocolTest, MultiKeyAsciiGetKeepsRequestOrder)
+{
+    // Three keys on as many shards as the cache has (up to three),
+    // written in one order and read in another with a miss between:
+    // the hits come back in request order.
+    std::vector<std::string> keys;
+    std::vector<std::uint32_t> shards;
+    const std::uint32_t want = std::min(cache_->shardCount(), 3u);
+    for (int i = 0; keys.size() < 3; ++i) {
+        const std::string k = "mk" + std::to_string(i);
+        const std::uint32_t sh = cache_->shardOf(k.data(), k.size());
+        const bool seen =
+            std::find(shards.begin(), shards.end(), sh) != shards.end();
+        if (seen && shards.size() < want)
+            continue;
+        shards.push_back(sh);
+        keys.push_back(k);
+    }
+    for (int i = 2; i >= 0; --i) {
+        const std::string v(static_cast<std::size_t>(i + 1), 'a' + i);
+        ASSERT_EQ(exec(binSetRequest(keys[i], v)).status, BinStatus::Ok);
+    }
+    auto value = [&](int i) {
+        return "VALUE " + keys[i] + " 0 " + std::to_string(i + 1) +
+               "\r\n" +
+               std::string(static_cast<std::size_t>(i + 1), 'a' + i) +
+               "\r\n";
+    };
+    EXPECT_EQ(protocolExecute(*cache_, 0,
+                              "get " + keys[0] + " " + keys[1] +
+                                  " absent " + keys[2] + "\r\n"),
+              value(0) + value(1) + value(2) + "END\r\n");
+    EXPECT_EQ(protocolExecute(*cache_, 0,
+                              "get " + keys[2] + " " + keys[0] + " " +
+                                  keys[1] + "\r\n"),
+              value(2) + value(0) + value(1) + "END\r\n");
 }
 
 TEST_P(BinaryProtocolTest, TruncatedFrameReturnsNothing)
@@ -378,22 +420,24 @@ TEST_P(BinaryProtocolTest, TruncatedFrameReturnsNothing)
               "");
 }
 
-INSTANTIATE_TEST_SUITE_P(SomeBranches, BinaryProtocolTest,
-                         ::testing::Values("Baseline", "IT-onCommit"),
-                         [](const auto &info) {
-                             std::string n = info.param;
-                             for (char &c : n)
-                                 if (c == '-')
-                                     c = '_';
-                             return n;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    SomeBranches, BinaryProtocolTest,
+    ::testing::Combine(::testing::Values("Baseline", "IT-onCommit"),
+                       ::testing::Values(1u, 4u)),
+    [](const auto &info) {
+        std::string n = std::get<0>(info.param);
+        for (char &c : n)
+            if (c == '-')
+                c = '_';
+        return n + "_" + std::to_string(std::get<1>(info.param)) + "shard";
+    });
 
 TEST(BinaryWorkload, MemslapBinaryModeRuns)
 {
     tm::Runtime::get().configure(tm::RuntimeCfg{});
     Settings s;
     s.maxBytes = 32 * 1024 * 1024;
-    auto cache = makeCache("IT-onCommit", s, 2);
+    auto cache = makeShardedCache("IT-onCommit", s, 2);
     workload::MemslapCfg cfg;
     cfg.concurrency = 2;
     cfg.executeNumber = 2000;

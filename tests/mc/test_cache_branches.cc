@@ -10,7 +10,9 @@
 #include <cstring>
 #include <string>
 
+#include "common/fault.h"
 #include "mc/cache_iface.h"
+#include "mc/sharded_cache.h"
 #include "tm/api.h"
 
 namespace
@@ -31,7 +33,7 @@ class BranchTest : public ::testing::TestWithParam<std::string>
         s.maxBytes = 8 * 1024 * 1024;
         s.slabPageSize = 16 * 1024;
         s.hashPowerInit = 8;
-        cache_ = makeCache(GetParam(), s, 4);
+        cache_ = makeShardedCache(GetParam(), s, 4);
         ASSERT_NE(cache_, nullptr);
     }
 
@@ -66,6 +68,21 @@ TEST_P(BranchTest, MissOnEmptyCache)
 {
     std::string out;
     EXPECT_FALSE(fetch("nothing", out));
+}
+
+TEST_P(BranchTest, OneShardConsultsItsFaultSite)
+{
+    // A one-shard handle routes through the same entry as a sharded
+    // one: every operation consults mc.shard0.op, so --slow-shard 0
+    // slows a default single-shard server too.
+    ASSERT_EQ(cache_->shardCount(), 1u);
+    fault::Policy p;
+    p.trigger = fault::Trigger::EveryNth;
+    p.n = 1;
+    const fault::ScopedFault site(shardFaultSite(0), p);
+    char buf[64];
+    cache_->get(0, "fk", 2, buf, sizeof buf);
+    EXPECT_EQ(fault::hits(shardFaultSite(0)), 1u);
 }
 
 TEST_P(BranchTest, SetThenGetRoundTrips)
@@ -327,7 +344,7 @@ TEST_P(BranchTest, EvictionKeepsCacheWithinBudget)
     s.maxBytes = 64 * 1024;
     s.slabPageSize = 16 * 1024;
     s.hashPowerInit = 6;
-    auto small = makeCache(GetParam(), s, 2);
+    auto small = makeShardedCache(GetParam(), s, 2);
     std::string big(512, 'B');
     for (int i = 0; i < 600; ++i) {
         const std::string k = "evict" + std::to_string(i);

@@ -52,7 +52,7 @@ TEST_P(ConcurrentBranchTest, MixedOpsPreserveValueIntegrity)
     s.maxBytes = 16 * 1024 * 1024;
     s.slabPageSize = 32 * 1024;
     s.hashPowerInit = 7;  // Low: forces expansion mid-test.
-    auto cache = makeCache(GetParam(), s, 4);
+    auto cache = makeShardedCache(GetParam(), s, 4);
     ASSERT_NE(cache, nullptr);
 
     constexpr int threads = 4;
@@ -106,7 +106,7 @@ TEST_P(ConcurrentBranchTest, ExpansionUnderLoadLosesNothing)
     s.maxBytes = 32 * 1024 * 1024;
     s.slabPageSize = 64 * 1024;
     s.hashPowerInit = 6;  // 64 buckets; expansion guaranteed.
-    auto cache = makeCache(GetParam(), s, 4);
+    auto cache = makeShardedCache(GetParam(), s, 4);
     ASSERT_NE(cache, nullptr);
 
     constexpr int threads = 4;
@@ -149,7 +149,7 @@ TEST_P(ConcurrentBranchTest, ConcurrentArithNeverLosesIncrements)
 {
     Settings s;
     s.maxBytes = 4 * 1024 * 1024;
-    auto cache = makeCache(GetParam(), s, 4);
+    auto cache = makeShardedCache(GetParam(), s, 4);
     ASSERT_NE(cache, nullptr);
     ASSERT_EQ(cache->store(0, "ctr", 3, "0", 1), OpStatus::Ok);
 
@@ -181,7 +181,7 @@ TEST_P(ConcurrentBranchTest, GetDuringInPlaceArithIsNotTorn)
     // bytes returns "10" or "99\0" instead of a value someone wrote.
     Settings s;
     s.maxBytes = 4 * 1024 * 1024;
-    auto cache = makeCache(GetParam(), s, 2);
+    auto cache = makeShardedCache(GetParam(), s, 2);
     ASSERT_NE(cache, nullptr);
     ASSERT_EQ(cache->store(0, "n", 1, "99", 2), OpStatus::Ok);
 
@@ -215,7 +215,7 @@ TEST_P(ConcurrentBranchTest, SlabRebalanceUnderLoad)
     Settings s;
     s.maxBytes = 256 * 1024;
     s.slabPageSize = 32 * 1024;
-    auto cache = makeCache(GetParam(), s, 2);
+    auto cache = makeShardedCache(GetParam(), s, 2);
     ASSERT_NE(cache, nullptr);
 
     // Fill with small values (class A), then switch the workload to
@@ -245,7 +245,7 @@ TEST_P(ConcurrentBranchTest, ReadersDuringFlushSeeNoGarbage)
 {
     Settings s;
     s.maxBytes = 8 * 1024 * 1024;
-    auto cache = makeCache(GetParam(), s, 3);
+    auto cache = makeShardedCache(GetParam(), s, 3);
     ASSERT_NE(cache, nullptr);
     for (int i = 0; i < 500; ++i) {
         const std::string key = "f" + std::to_string(i);
@@ -360,13 +360,13 @@ TEST_P(ConcurrentBranchTest, CrossShardCollidingVsSpreadTorture)
 
 TEST_P(ConcurrentBranchTest, MultiGetSpanningShardsRacesDeletes)
 {
-    // Readers batch multi-gets that span all four shards while
+    // Readers run 16-key gets that span all four shards while
     // writers churn the same keys with sets and deletes under
     // eviction pressure (tiny budget) and injected allocation
-    // failures (the PR-2 fault sites). Every returned hit must carry
-    // the right key's value — a batch that crossed results between
-    // slots, or read an item a delete/eviction had already unlinked,
-    // fails the prefix check.
+    // failures (the mc.slabs.alloc fault site). Every returned hit
+    // must carry the right key's value — a get that crossed results
+    // between buffers, or read an item a delete/eviction had already
+    // unlinked, fails the prefix check.
     Settings s;
     s.maxBytes = 1024 * 1024;
     s.slabPageSize = 32 * 1024;
@@ -416,23 +416,21 @@ TEST_P(ConcurrentBranchTest, MultiGetSpanningShardsRacesDeletes)
                                                 std::vector<char>(512));
             for (int round = 0; round < 600 && !corrupt.load();
                  ++round) {
-                // Batch spans the shards in shuffled order.
-                std::vector<CacheIface::MultiGetReq> reqs(16);
+                // The keys span the shards in shuffled order, one
+                // get per key as a multi-key get runs them.
                 std::vector<const std::string *> picked(16);
+                std::vector<GetResult> results(16);
                 for (int i = 0; i < 16; ++i) {
                     picked[i] = &keys[rng.nextBounded(keys.size())];
-                    reqs[i].key = picked[i]->data();
-                    reqs[i].nkey = picked[i]->size();
-                    reqs[i].out = bufs[i].data();
-                    reqs[i].outCap = bufs[i].size();
+                    results[i] = cache->get(
+                        static_cast<std::uint32_t>(t), picked[i]->data(),
+                        picked[i]->size(), bufs[i].data(), bufs[i].size());
                 }
-                cache->getMulti(static_cast<std::uint32_t>(t),
-                                reqs.data(), reqs.size());
                 for (int i = 0; i < 16; ++i) {
-                    if (reqs[i].result.status != OpStatus::Ok)
+                    if (results[i].status != OpStatus::Ok)
                         continue;
                     const std::string got(bufs[i].data(),
-                                          reqs[i].result.vlen);
+                                          results[i].vlen);
                     if (got.rfind(*picked[i] + ":", 0) != 0 ||
                         got.size() != 64)
                         corrupt.store(true);

@@ -121,7 +121,7 @@ TEST_P(OracleTest, RandomOpSequenceMatchesModel)
     Settings s;
     s.maxBytes = 64 * 1024 * 1024;  // No evictions: model has none.
     s.hashPowerInit = 6;            // Force expansions mid-sequence.
-    auto cache = makeCache(GetParam(), s, 1);
+    auto cache = makeShardedCache(GetParam(), s, 1);
     ASSERT_NE(cache, nullptr);
     ModelCache model;
 

@@ -26,7 +26,7 @@ class ProtocolTest : public ::testing::TestWithParam<std::string>
         tm::Runtime::get().configure(tm::RuntimeCfg{});
         Settings s;
         s.maxBytes = 8 * 1024 * 1024;
-        cache_ = makeCache(GetParam(), s, 2);
+        cache_ = makeShardedCache(GetParam(), s, 2);
         ASSERT_NE(cache_, nullptr);
     }
 

@@ -27,7 +27,7 @@ freshCache()
     tm::Runtime::get().configure(tm::RuntimeCfg{});
     Settings s;
     s.maxBytes = 8 * 1024 * 1024;
-    return makeCache("IT-onCommit", s, 1);
+    return makeShardedCache("IT-onCommit", s, 1);
 }
 
 TEST(ProtocolFuzz, RandomBytesNeverCrashTextParser)

@@ -42,7 +42,7 @@ profileBranch(const std::string &branch, bool use_serial_lock = true)
     Settings s;
     s.maxBytes = 16 * 1024 * 1024;
     s.hashPowerInit = 10;
-    auto cache = makeCache(branch, s, 2);
+    auto cache = makeShardedCache(branch, s, 2);
     EXPECT_NE(cache, nullptr);
 
     // runMemslap zeroes the TM statistics after its warm phase, so the

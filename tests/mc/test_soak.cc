@@ -40,7 +40,7 @@ TEST_P(SoakTest, EverythingAtOnce)
     s.slabPageSize = 32 * 1024;
     s.hashPowerInit = 5;       // 32 buckets: expansions guaranteed.
     s.evictionSearchDepth = 5;
-    auto cache = makeCache(GetParam(), s, 4);
+    auto cache = makeShardedCache(GetParam(), s, 4);
     ASSERT_NE(cache, nullptr);
 
     constexpr int threads = 4;
@@ -105,8 +105,8 @@ TEST_P(SoakTest, CrossShardEverythingAtOnce)
 {
     // The sharded variant of the soak: same machinery (evictions,
     // expansions, rebalances) running independently in 4 shards, plus
-    // cross-shard multi-get batches racing the churn, plus injected
-    // allocation failures on the PR-2 fault sites. More distinct keys
+    // 8-key gets spanning shards racing the churn, plus injected
+    // allocation failures (mc.slabs.alloc). More distinct keys
     // than the unsharded soak so each shard's private budget still
     // overflows into eviction.
     tm::Runtime::get().configure(runtimeCfgFor(GetParam()));
@@ -160,24 +160,16 @@ TEST_P(SoakTest, CrossShardEverythingAtOnce)
                     cache->concat(t, key.data(), key.size(), "+", 1,
                                   rng.nextDouble() < 0.5);
                 } else if (roll < 0.58) {
-                    // Multi-get batch spanning shards.
-                    std::vector<std::string> mk;
-                    std::vector<CacheIface::MultiGetReq> reqs(8);
+                    // An 8-key get spanning shards, one get per key.
                     for (int j = 0; j < 8; ++j) {
-                        mk.push_back("shsoak" +
-                                     std::to_string(
-                                         rng.nextBounded(key_space)));
-                    }
-                    for (int j = 0; j < 8; ++j) {
-                        reqs[j].key = mk[j].data();
-                        reqs[j].nkey = mk[j].size();
-                        reqs[j].out = mbufs[j].data();
-                        reqs[j].outCap = mbufs[j].size();
-                    }
-                    cache->getMulti(t, reqs.data(), reqs.size());
-                    for (int j = 0; j < 8; ++j) {
-                        if (reqs[j].result.status == OpStatus::Ok &&
-                            reqs[j].result.vlen > mbufs[j].size())
+                        const std::string mk =
+                            "shsoak" +
+                            std::to_string(rng.nextBounded(key_space));
+                        const auto r =
+                            cache->get(t, mk.data(), mk.size(),
+                                       mbufs[j].data(), mbufs[j].size());
+                        if (r.status == OpStatus::Ok &&
+                            r.vlen > mbufs[j].size())
                             corrupt.store(true);
                     }
                 } else {

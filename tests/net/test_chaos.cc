@@ -38,7 +38,7 @@ class ChaosTest : public ::testing::TestWithParam<const char *>
         tm::Runtime::get().configure(tm::RuntimeCfg{});
         mc::Settings settings;
         settings.maxBytes = 16 * 1024 * 1024;
-        cache_ = mc::makeCache(GetParam(), settings, kWorkers);
+        cache_ = mc::makeShardedCache(GetParam(), settings, kWorkers);
         ASSERT_NE(cache_, nullptr);
         net::ServerCfg cfg;
         cfg.port = 0;

@@ -135,7 +135,7 @@ class ClusterTest : public ::testing::Test
     {
         mc::Settings settings;
         settings.maxBytes = 32 * 1024 * 1024;
-        caches_[i] = mc::makeCache("IP-onCommit", settings, 2);
+        caches_[i] = mc::makeShardedCache("IP-onCommit", settings, 2);
         if (caches_[i] == nullptr)
             return false;
         net::ServerCfg scfg;

@@ -52,7 +52,7 @@ class WritePathTest : public ::testing::Test
         tm::Runtime::get().configure(tm::RuntimeCfg{});
         mc::Settings settings;
         settings.maxBytes = 16 * 1024 * 1024;
-        cache_ = mc::makeCache("IP-onCommit", settings, kWorkers);
+        cache_ = mc::makeShardedCache("IP-onCommit", settings, kWorkers);
         ASSERT_NE(cache_, nullptr);
     }
 
@@ -226,8 +226,8 @@ TEST(ConnWriteBuffer, ChaosShortWritesBehindPartlyFlushedFront)
     tm::Runtime::get().configure(tm::RuntimeCfg{});
     mc::Settings settings;
     settings.maxBytes = 16 * 1024 * 1024;
-    auto cache = mc::makeCache("IP-onCommit", settings, 1);
-    auto ref = mc::makeCache("IP-onCommit", settings, 1);
+    auto cache = mc::makeShardedCache("IP-onCommit", settings, 1);
+    auto ref = mc::makeShardedCache("IP-onCommit", settings, 1);
     ASSERT_NE(cache, nullptr);
     ASSERT_NE(ref, nullptr);
     auto run = [](mc::CacheIface &c, bool binary,
@@ -370,7 +370,7 @@ TEST_F(WritePathTest, ChaosEvictionPressureNeverTearsReplies)
     // match what was stored, always.
     mc::Settings settings;
     settings.maxBytes = 2 * 1024 * 1024;
-    cache_ = mc::makeCache("IP-onCommit", settings, kWorkers);
+    cache_ = mc::makeShardedCache("IP-onCommit", settings, kWorkers);
     ASSERT_NE(cache_, nullptr);
     startServer(net::ServerCfg{});
 

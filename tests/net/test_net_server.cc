@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include "common/fault.h"
 #include "mc/binary_protocol.h"
@@ -36,7 +38,7 @@ class NetServerTest : public ::testing::TestWithParam<const char *>
         tm::Runtime::get().configure(tm::RuntimeCfg{});
         mc::Settings settings;
         settings.maxBytes = 16 * 1024 * 1024;
-        cache_ = mc::makeCache(GetParam(), settings, kWorkers);
+        cache_ = mc::makeShardedCache(GetParam(), settings, kWorkers);
         ASSERT_NE(cache_, nullptr);
         net::ServerCfg cfg;
         cfg.port = 0;  // Ephemeral.
@@ -447,6 +449,78 @@ TEST_P(NetServerTest, StatsLatencyAndTmRows)
     EXPECT_NE(tmrows.find("STAT tm_txns "), std::string::npos) << tmrows;
     EXPECT_EQ(tmrows.compare(tmrows.size() - 5, 5, "END\r\n"), 0)
         << tmrows;
+}
+
+TEST(NetServerShardedTest, QuietGetPipelineAnswersHitsInOrder)
+{
+    // A GetQ/GetKQ/GetKQ pipeline over four shards, keys on three
+    // different shards, then a Noop as memcached clients send to
+    // close a quiet run: each frame executes on its own, the miss
+    // writes nothing, and the hits come back in request order, each
+    // under its own opaque.
+    tm::Runtime::get().configure(tm::RuntimeCfg{});
+    mc::Settings settings;
+    settings.maxBytes = 16 * 1024 * 1024;
+    auto cache = mc::makeShardedCache("IT-onCommit", settings, 2, 4);
+    ASSERT_NE(cache, nullptr);
+    std::vector<std::string> keys;
+    std::vector<std::uint32_t> used;
+    for (int i = 0; keys.size() < 3; ++i) {
+        const std::string k = "qp" + std::to_string(i);
+        const std::uint32_t sh = cache->shardOf(k.data(), k.size());
+        if (std::find(used.begin(), used.end(), sh) != used.end())
+            continue;
+        used.push_back(sh);
+        keys.push_back(k);
+    }
+    net::ServerCfg cfg;
+    cfg.port = 0;
+    cfg.workers = 2;
+    net::Server server(*cache, cfg);
+    ASSERT_TRUE(server.start());
+
+    {
+        net::Client c;
+        ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
+        std::string batch = mc::binSetRequest(keys[0], "alpha") +
+                            mc::binSetRequest(keys[2], "gamma") +
+                            mc::binRequest(mc::BinOp::GetQ, keys[0], "",
+                                           "", 0, 11) +
+                            mc::binRequest(mc::BinOp::GetKQ, keys[1], "",
+                                           "", 0, 22) +
+                            mc::binRequest(mc::BinOp::GetKQ, keys[2], "",
+                                           "", 0, 33) +
+                            mc::binRequest(mc::BinOp::Noop, "", "", "", 0,
+                                           44);
+        ASSERT_TRUE(c.sendAll(batch));
+        mc::BinResponse r;
+        std::string reply;
+        for (int i = 0; i < 2; ++i) {
+            ASSERT_TRUE(c.recvBinary(reply));
+            ASSERT_GT(mc::binParseResponse(reply, r), 0u);
+            EXPECT_EQ(r.opcode, mc::BinOp::Set);
+            EXPECT_EQ(r.status, mc::BinStatus::Ok);
+        }
+        ASSERT_TRUE(c.recvBinary(reply));
+        ASSERT_GT(mc::binParseResponse(reply, r), 0u);
+        EXPECT_EQ(r.opcode, mc::BinOp::GetQ);
+        EXPECT_EQ(r.value, "alpha");
+        EXPECT_TRUE(r.key.empty());  // GetQ omits the key...
+        EXPECT_EQ(r.opaque, 11u);
+        ASSERT_TRUE(c.recvBinary(reply));
+        ASSERT_GT(mc::binParseResponse(reply, r), 0u);
+        EXPECT_EQ(r.opcode, mc::BinOp::GetKQ);
+        EXPECT_EQ(r.key, keys[2]);  // ...GetKQ echoes it.
+        EXPECT_EQ(r.value, "gamma");
+        EXPECT_EQ(r.opaque, 33u);
+        ASSERT_TRUE(c.recvBinary(reply));
+        ASSERT_GT(mc::binParseResponse(reply, r), 0u);
+        EXPECT_EQ(r.opcode, mc::BinOp::Noop);
+        EXPECT_EQ(r.opaque, 44u);
+    }
+    server.stop();
+    // Every frame, the silent miss included, counts as one request.
+    EXPECT_EQ(server.requestsServed(), 6u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Branches, NetServerTest,

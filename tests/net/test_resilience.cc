@@ -34,7 +34,7 @@ class ResilienceTest : public ::testing::Test
         tm::Runtime::get().configure(tm::RuntimeCfg{});
         mc::Settings settings;
         settings.maxBytes = 16 * 1024 * 1024;
-        cache_ = mc::makeCache("IT-onCommit", settings, kWorkers);
+        cache_ = mc::makeShardedCache("IT-onCommit", settings, kWorkers);
         ASSERT_NE(cache_, nullptr);
     }
 

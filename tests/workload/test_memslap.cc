@@ -27,7 +27,7 @@ freshCache(const char *branch = "Baseline", std::uint32_t threads = 4)
     tm::Runtime::get().configure(tm::RuntimeCfg{});
     Settings s;
     s.maxBytes = 64 * 1024 * 1024;
-    return makeCache(branch, s, threads);
+    return makeShardedCache(branch, s, threads);
 }
 
 TEST(Memslap, KeyFormattingIsFixedWidthAndUnique)
