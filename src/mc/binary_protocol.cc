@@ -270,8 +270,8 @@ binaryExecute(CacheIface &cache, std::uint32_t worker,
     }
 
     const char *body = request.data() + kBinHeaderSize;
-    const std::string extras(body, h.extrasLength);
-    const std::string key(body + h.extrasLength, h.keyLength);
+    const std::string_view extras(body, h.extrasLength);
+    const std::string_view key(body + h.extrasLength, h.keyLength);
     const char *value = body + h.extrasLength + h.keyLength;
     const std::size_t value_len =
         h.bodyLength - h.extrasLength - h.keyLength;

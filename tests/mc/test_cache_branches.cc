@@ -361,6 +361,57 @@ TEST_P(BranchTest, EvictionKeepsCacheWithinBudget)
     EXPECT_EQ(gs.currItems, small->linkedItemCount());
 }
 
+/**
+ * Store "a" then "b", let more than 4,096 operations (64 clock ticks)
+ * pass, read "a", then fill the one slab class until the first
+ * eviction. @return which of the two keys that eviction took.
+ */
+std::string
+firstEvictedAfterReadingA(const std::string &branch,
+                          std::uint64_t bump_interval)
+{
+    Settings s;
+    s.maxBytes = 64 * 1024;
+    s.slabPageSize = 16 * 1024;
+    s.hashPowerInit = 6;
+    s.lruBumpInterval = bump_interval;
+    auto cache = makeShardedCache(branch, s, 1);
+    const std::string val(500, 'v');
+    char buf[1024];
+    auto put = [&](const std::string &k) {
+        return cache->store(0, k.data(), k.size(), val.data(), val.size());
+    };
+    auto has = [&](const std::string &k) {
+        return cache->get(0, k.data(), k.size(), buf, sizeof(buf)).status ==
+               OpStatus::Ok;
+    };
+    EXPECT_EQ(put("key-a"), OpStatus::Ok);
+    EXPECT_EQ(put("key-b"), OpStatus::Ok);
+    for (int i = 0; i < 5000; ++i)
+        (void)has("absent");  // Misses tick the op clock, touch no LRU.
+    EXPECT_TRUE(has("key-a"));
+    for (int i = 0; i < 1000 && cache->globalStats().evictions == 0; ++i)
+        EXPECT_EQ(put("fill" + std::to_string(1000 + i)), OpStatus::Ok);
+    EXPECT_EQ(cache->globalStats().evictions, 1u);
+    const bool a = has("key-a");
+    const bool b = has("key-b");
+    EXPECT_NE(a, b) << "exactly one of the two must be gone";
+    return a ? "key-b" : "key-a";
+}
+
+TEST_P(BranchTest, HitWithinBumpIntervalLeavesLruOrder)
+{
+    // memcached's ITEM_UPDATE_INTERVAL: a hit on a recently bumped
+    // item does not relink it, so "a" stays the coldest item.
+    const std::uint64_t interval = Settings{}.lruBumpInterval;
+    EXPECT_EQ(firstEvictedAfterReadingA(GetParam(), interval), "key-a");
+}
+
+TEST_P(BranchTest, HitPastBumpIntervalRelinksItem)
+{
+    EXPECT_EQ(firstEvictedAfterReadingA(GetParam(), 1), "key-b");
+}
+
 TEST_P(BranchTest, LargeValueRejected)
 {
     std::string huge(64 * 1024, 'x');
